@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -33,20 +34,39 @@ ZERO_DENOMINATOR_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """The d^2 - 1 SU(d) generators with their structure constants.
+    """The d^2 - 1 SU(d) generators and the radius normalization.
 
     ``generators`` has shape (d^2-1, d, d); each matrix is traceless,
-    Hermitian and normalized to Tr(G_i G_j) = 2 delta_ij. ``f`` and ``dsym``
-    are the totally antisymmetric and totally symmetric rank-3 structure
-    tensors, stored dense (fine for d <= 16, the intended working range).
-    ``c_d`` is the radius normalization sqrt(d(d-1)/2).
+    Hermitian and normalized to Tr(G_i G_j) = 2 delta_ij. ``c_d`` is the
+    radius normalization sqrt(d(d-1)/2).
+
+    ``f`` and ``dsym`` are the totally antisymmetric and totally symmetric
+    rank-3 structure tensors, f_ijk = Tr([G_i, G_j] G_k) / 4i and
+    dsym_ijk = Tr({G_i, G_j} G_k) / 4. No computation here reads them:
+    ``wedge`` and ``star`` work through commutators instead. They are built
+    dense, (d^2-1)^3 reals, on first access and kept as reference values;
+    at d = 16 that takes seconds and about 1 GiB.
     """
 
     dim: int
     generators: np.ndarray
-    f: np.ndarray
-    dsym: np.ndarray
     c_d: float
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        triple = self._trace_triple()
+        return _frozen(np.real((triple - triple.transpose(1, 0, 2)) / 4j))
+
+    @cached_property
+    def dsym(self) -> np.ndarray:
+        triple = self._trace_triple()
+        return _frozen(np.real((triple + triple.transpose(1, 0, 2)) / 4.0))
+
+    def _trace_triple(self) -> np.ndarray:
+        """Tr(G_i G_j G_k) for every index triple."""
+        gens = self.generators
+        pair = np.einsum("iab,jbc->ijac", gens, gens)
+        return np.einsum("ijab,kba->ijk", pair, gens)
 
 
 @dataclass(frozen=True)
@@ -85,67 +105,80 @@ def build_generators(dim: int) -> GeneratorSet:
     Ordering is the symmetric off-diagonal block, then the antisymmetric
     block (both lexicographic in the index pair), then the diagonal block.
     For d = 2 this yields the Pauli matrices in their conventional order.
+    The set is built once per dimension and shared: its arrays are
+    read-only.
     """
     if dim < 2:
         raise ValueError(f"need dim >= 2, got {dim}")
-    mats = []
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[a, b] = 1.0
-            m[b, a] = 1.0
-            mats.append(m)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[a, b] = -1.0j
-            m[b, a] = 1.0j
-            mats.append(m)
-    for level in range(1, dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[np.arange(level), np.arange(level)] = 1.0
-        m[level, level] = -float(level)
-        mats.append(m * math.sqrt(2.0 / (level * (level + 1))))
-    gens = np.stack(mats)
+    return _generator_set(dim)
 
-    # structure constants from the trace formulas
-    pair = np.einsum("iab,jbc->ijac", gens, gens)
-    triple = np.einsum("ijab,kba->ijk", pair, gens)
-    f = np.real((triple - triple.transpose(1, 0, 2)) / 4j)
-    dsym = np.real((triple + triple.transpose(1, 0, 2)) / 4.0)
-    for arr in (gens, f, dsym):
-        arr.setflags(write=False)
+
+@cache
+def _generator_set(dim: int) -> GeneratorSet:
+    rows, cols = np.triu_indices(dim, 1)
+    pairs = np.arange(rows.size)
+    gens = np.zeros((dim * dim - 1, dim, dim), dtype=complex)
+    gens[pairs, rows, cols] = 1.0
+    gens[pairs, cols, rows] = 1.0
+    gens[pairs.size + pairs, rows, cols] = -1.0j
+    gens[pairs.size + pairs, cols, rows] = 1.0j
+    for level in range(1, dim):
+        scale = math.sqrt(2.0 / (level * (level + 1)))
+        diag = gens[2 * pairs.size + level - 1]
+        diag[np.arange(level), np.arange(level)] = scale
+        diag[level, level] = -float(level) * scale
     return GeneratorSet(
         dim=dim,
-        generators=gens,
-        f=f,
-        dsym=dsym,
+        generators=_frozen(gens),
         c_d=math.sqrt(dim * (dim - 1) / 2.0),
     )
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _operator(u: BlochVector, gens: GeneratorSet) -> np.ndarray:
+    """U = sum_j u_j G_j."""
+    return np.tensordot(u.r, gens.generators, axes=1)
+
+
+def _components(mat: np.ndarray, gens: GeneratorSet) -> np.ndarray:
+    """Tr(G_i M) for every generator."""
+    return np.einsum("iab,ba->i", gens.generators, mat)
 
 
 def wedge(u: BlochVector, v: BlochVector, gens: GeneratorSet) -> BlochVector:
     """Antisymmetric product (u ^ v)_i = sum f_ijk u_j v_k.
 
-    For d = 2 this is the ordinary cross product.
+    Computed as Tr(G_i [U, V]) / 4i with U = sum u_j G_j, which equals the
+    structure-constant form without building f. For d = 2 this is the
+    ordinary cross product.
     """
     _check_dims(u.dim, v.dim, gens.dim)
-    return BlochVector(gens.dim, np.einsum("ijk,j,k->i", gens.f, u.r, v.r))
+    big_u, big_v = _operator(u, gens), _operator(v, gens)
+    comm = big_u @ big_v - big_v @ big_u
+    return BlochVector(gens.dim, np.real(_components(comm, gens) / 4j))
 
 
 def star(u: BlochVector, v: BlochVector, gens: GeneratorSet) -> BlochVector:
     """Symmetric product (u * v)_i = (C_d / (d-2)) sum d_ijk u_j v_k.
 
-    At d = 2 every d_ijk vanishes and the (d-2) prefactor in the operator
-    product identity kills the star term, so the product is defined as the
-    zero vector there; this keeps the identity valid at all d.
+    Computed as (C_d / (d-2)) Tr(G_i {U, V}) / 4 with U = sum u_j G_j, which
+    equals the structure-constant form without building dsym. At d = 2
+    every d_ijk vanishes and the (d-2) prefactor in the operator product
+    identity kills the star term, so the product is defined as the zero
+    vector there; this keeps the identity valid at all d.
     """
     _check_dims(u.dim, v.dim, gens.dim)
     d = gens.dim
     if d == 2:
         return BlochVector(2, np.zeros(3))
     coeff = gens.c_d / (d - 2)
-    return BlochVector(d, coeff * np.einsum("ijk,j,k->i", gens.dsym, u.r, v.r))
+    big_u, big_v = _operator(u, gens), _operator(v, gens)
+    anti = big_u @ big_v + big_v @ big_u
+    return BlochVector(d, coeff * np.real(_components(anti, gens)) / 4.0)
 
 
 def state_to_bloch(rho: DensityMatrix, gens: GeneratorSet) -> BlochVector:
@@ -164,7 +197,7 @@ def bloch_to_state(r: BlochVector, gens: GeneratorSet) -> DensityMatrix:
     """
     _check_dims(r.dim, gens.dim)
     d = gens.dim
-    mat = (np.eye(d, dtype=complex) + gens.c_d * np.tensordot(r.r, gens.generators, axes=1)) / d
+    mat = (np.eye(d, dtype=complex) + gens.c_d * _operator(r, gens)) / d
     return DensityMatrix(mat)
 
 

@@ -5,8 +5,10 @@ eigenbases (columns are eigenvectors); complex numbers are encoded as
 two-element [re, im] arrays. All entropic output is in nats unless --bits
 is passed, which divides by ln 2 at the presentation layer only.
 
-Exit codes: 0 success, 2 parse error, 3 invariant violation, 4 malformed
-sweep grid, 5 protocol error, 6 search error, 7 geometry error.
+Exit codes: 0 success, 2 parse error (unreadable document or a
+non-integer $QINCOMPAT_SEED), 3 invariant violation (non-finite numbers
+included), 4 malformed sweep grid, 5 protocol error, 6 search error,
+7 geometry error.
 """
 
 from __future__ import annotations
@@ -179,7 +181,12 @@ def cmd_protocol(args) -> int:
 def cmd_mub(args) -> int:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, "0"))
+        raw = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            print(f"error: {SEED_ENV_VAR} must be an integer, got {raw!r}", file=sys.stderr)
+            return EXIT_PARSE
     try:
         config = SearchConfig(
             dim=args.dim,

@@ -32,10 +32,10 @@ SUPPORT_WEIGHT_CUTOFF = 1e-10
 class DensityMatrix:
     """A d-dimensional quantum state as a positive, unit-trace complex matrix.
 
-    Construction validates Hermiticity (entrywise, 1e-12), unit trace (1e-12)
-    and positivity. Eigenvalues in [-1e-10, 0) are treated as numerical dust:
-    they are clipped to zero and the spectrum renormalized. Anything more
-    negative is rejected.
+    Construction validates finiteness, Hermiticity (entrywise, 1e-12), unit
+    trace (1e-12) and positivity. Eigenvalues in [-1e-10, 0) are treated as
+    numerical dust: they are clipped to zero and the spectrum renormalized.
+    Anything more negative is rejected.
     """
 
     entries: np.ndarray
@@ -44,6 +44,9 @@ class DensityMatrix:
         mat = np.array(self.entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvariantViolationError("state matrix must be square")
+        # every tolerance check below is false for NaN, so test finiteness first
+        if not np.isfinite(mat).all():
+            raise InvariantViolationError("state matrix has non-finite entries")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
             raise InvariantViolationError("state matrix is not Hermitian")
         if abs(mat.trace() - 1.0) > TRACE_TOL:
@@ -97,7 +100,8 @@ class ObservableBasis:
     distinct real eigenvalues.
 
     ``vectors`` holds the eigenvectors as the columns of a d x d matrix,
-    validated to be unitary (Gram matrix within 1e-10 of the identity).
+    validated to be finite and unitary (Gram matrix within 1e-10 of the
+    identity). Eigenvalues must be finite and distinct.
     Eigenvalues default to 1..d. They never enter the incompatibility
     measures, which depend on the eigenprojectors only, but they do weight
     the observable matrix used by the commutation classifier.
@@ -113,6 +117,8 @@ class ObservableBasis:
         d = cols.shape[0]
         if d < 2:
             raise InvariantViolationError("observables need at least two outcomes")
+        if not np.isfinite(cols).all():
+            raise InvariantViolationError("eigenvector matrix has non-finite entries")
         gram = cols.conj().T @ cols
         if np.max(np.abs(gram - np.eye(d))) > GRAM_TOL:
             raise InvariantViolationError("eigenvectors are not orthonormal")
@@ -120,6 +126,8 @@ class ObservableBasis:
             vals = np.arange(1, d + 1, dtype=float)
         else:
             vals = np.array(self.eigenvalues, dtype=float)
+            if not np.isfinite(vals).all():
+                raise InvariantViolationError("observable eigenvalues must be finite")
         if vals.shape != (d,):
             raise InvariantViolationError(
                 f"expected {d} eigenvalues, got shape {vals.shape}"

@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import json
+
 import numpy as np
 
 from qincompat.core import (
@@ -59,3 +61,22 @@ def mub_mixture_context(dim: int, rng: np.random.Generator) -> Context:
         eps * np.outer(column, column.conj()) + (1 - eps) * np.eye(dim) / dim
     )
     return Context(state, first, second)
+
+
+def encode_matrix(matrix) -> list:
+    matrix = np.asarray(matrix, dtype=complex)
+    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+
+
+def write_document(path, dim, rho, x_cols, y_cols, **extra) -> str:
+    """Write a version-1 context document and return its path."""
+    doc = {
+        "version": "1",
+        "dim": dim,
+        "rho": encode_matrix(rho),
+        "x_basis": encode_matrix(x_cols),
+        "y_basis": encode_matrix(y_cols),
+    }
+    doc.update(extra)
+    path.write_text(json.dumps(doc))
+    return str(path)

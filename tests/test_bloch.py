@@ -1,10 +1,13 @@
 """Generalized Bloch representation and the geometric measure forms."""
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qincompat import bloch as bloch_module
 from qincompat.bloch import (
     BlochVector,
     basis_to_bloch_frame,
@@ -19,6 +22,7 @@ from qincompat.bloch import (
     state_to_bloch,
     wedge,
 )
+from qincompat.cli import main
 from qincompat.core import (
     DensityMatrix,
     ObservableBasis,
@@ -34,7 +38,7 @@ from qincompat.measures import (
     measurement_incompatibility,
 )
 
-from _util import bloch_axis, qubit_basis, random_context
+from _util import bloch_axis, qubit_basis, random_context, write_document
 
 PAULI = {
     1: np.array([[0, 1], [1, 0]], dtype=complex),
@@ -107,6 +111,14 @@ class TestBuildGenerators:
         with pytest.raises(ValueError):
             build_generators(1)
 
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_built_once_per_dimension_and_read_only(self, d):
+        gens = build_generators(d)
+        assert build_generators(d) is gens
+        assert not gens.generators.flags.writeable
+        with pytest.raises(ValueError):
+            gens.generators[0, 0, 0] = 1.0
+
 
 class TestStarWedge:
     def test_wedge_self_vanishes(self):
@@ -146,6 +158,27 @@ class TestStarWedge:
                 + (d - 2) / gens.c_d * np.tensordot(star(u, v, gens).r, gens.generators, 1)
             )
             np.testing.assert_allclose(left, right, atol=1e-10)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_structure_constant_forms(self, d):
+        rng = np.random.default_rng(69)
+        gens = build_generators(d)
+        coeff = 0.0 if d == 2 else gens.c_d / (d - 2)
+        for _ in range(20):
+            u = state_to_bloch(random_density_matrix(d, rng), gens)
+            v = state_to_bloch(random_density_matrix(d, rng), gens)
+            np.testing.assert_allclose(
+                wedge(u, v, gens).r,
+                np.einsum("ijk,j,k->i", gens.f, u.r, v.r),
+                rtol=0,
+                atol=1e-12,
+            )
+            np.testing.assert_allclose(
+                star(u, v, gens).r,
+                coeff * np.einsum("ijk,j,k->i", gens.dsym, u.r, v.r),
+                rtol=0,
+                atol=1e-12,
+            )
 
     def test_trace_inner_product_rule(self):
         rng = np.random.default_rng(65)
@@ -394,3 +427,41 @@ class TestQubitMeasures:
             qubit_measures(np.zeros(3), np.array([0.5, 0, 0]), np.array([1.0, 0, 0]))
         with pytest.raises(InvariantViolationError, match="ball"):
             qubit_measures(np.array([1.5, 0, 0]), np.array([1.0, 0, 0]), np.array([0, 0, 1.0]))
+
+
+class TestBlochCommandAtSixteen:
+    DIM = 16
+
+    @pytest.fixture
+    def doc(self, tmp_path):
+        ctx = random_context(self.DIM, np.random.default_rng(91))
+        path = write_document(
+            tmp_path / "ctx16.json",
+            self.DIM,
+            ctx.state.entries,
+            ctx.first.vectors,
+            ctx.second.vectors,
+        )
+        return path, ctx
+
+    def test_memory_peak_is_bounded(self, doc, capsys):
+        # a cold build, so the bound covers constructing the generators
+        bloch_module._generator_set.cache_clear()
+        tracemalloc.start()
+        try:
+            assert main(["bloch", doc[0]]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 64 * 1024 * 1024
+
+    def test_cross_frame_dots_follow_the_transition_matrix(self, doc, capsys):
+        path, ctx = doc
+        assert main(["bloch", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        d = self.DIM
+        overlaps = np.abs(ctx.first.vectors.conj().T @ ctx.second.vectors) ** 2
+        np.testing.assert_allclose(
+            np.array(payload["xy_dots"]), (d * overlaps - 1) / (d - 1), rtol=0, atol=2e-12
+        )

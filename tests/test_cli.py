@@ -8,27 +8,9 @@ import pytest
 
 from qincompat.cli import main
 
-from _util import qubit_basis
+from _util import encode_matrix, qubit_basis, write_document
 
 LN2 = math.log(2.0)
-
-
-def encode_matrix(matrix) -> list:
-    matrix = np.asarray(matrix, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
-
-
-def write_document(path, dim, rho, x_cols, y_cols, **extra) -> str:
-    doc = {
-        "version": "1",
-        "dim": dim,
-        "rho": encode_matrix(rho),
-        "x_basis": encode_matrix(x_cols),
-        "y_basis": encode_matrix(y_cols),
-    }
-    doc.update(extra)
-    path.write_text(json.dumps(doc))
-    return str(path)
 
 
 @pytest.fixture
@@ -105,6 +87,30 @@ class TestMeasureCommand:
         )
         assert main(["measure", doc]) == 3
         assert "negative eigenvalue" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["measure", "sweep", "protocol", "bloch"])
+    def test_nan_in_state_is_an_invariant_violation(self, tmp_path, command, capsys):
+        rho = np.array([[0.5, math.nan], [math.nan, 0.5]])
+        hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+        doc = write_document(tmp_path / "nan.json", 2, rho, np.eye(2), hadamard)
+        assert main([command, doc]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: invariant violation")
+
+    def test_nan_eigenvalue_is_an_invariant_violation(self, tmp_path, capsys):
+        doc = write_document(
+            tmp_path / "nan_eigs.json",
+            2,
+            np.diag([0.6, 0.4]),
+            np.eye(2),
+            np.eye(2)[:, [1, 0]],
+            x_eigenvalues=[math.nan, 2.0],
+        )
+        assert main(["measure", doc]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: invariant violation")
 
     def test_missing_key_exit_code(self, tmp_path, capsys):
         path = tmp_path / "partial.json"
@@ -188,6 +194,13 @@ class TestMubCommand:
         assert main(["mub", "--dim", "2", "--restarts", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["seed"] == 13
+
+    def test_non_integer_seed_from_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("QINCOMPAT_SEED", "abc")
+        assert main(["mub", "--dim", "2", "--restarts", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: QINCOMPAT_SEED must be an integer, got 'abc'\n"
 
 
 class TestBlochCommand:

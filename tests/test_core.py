@@ -62,6 +62,16 @@ class TestDensityMatrix:
         with pytest.raises(InvariantViolationError):
             DensityMatrix(np.diag([1.0 + 3e-10, -3e-10]))
 
+    @pytest.mark.parametrize(
+        "entry", [math.nan, math.inf, -math.inf, complex(0.1, math.nan)]
+    )
+    def test_rejects_non_finite_entries(self, entry):
+        mat = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+        mat[0, 1] = entry
+        mat[1, 0] = np.conj(entry)
+        with pytest.raises(InvariantViolationError, match="non-finite"):
+            DensityMatrix(mat)
+
     def test_entries_are_frozen(self):
         rho = DensityMatrix.maximally_mixed(3)
         with pytest.raises(ValueError):
@@ -82,6 +92,18 @@ class TestObservableBasis:
     def test_rejects_degenerate_eigenvalues(self):
         with pytest.raises(InvariantViolationError, match="degenerate"):
             ObservableBasis(np.eye(3), eigenvalues=np.array([1.0, 1.0, 2.0]))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_rejects_non_finite_vectors(self, entry):
+        cols = np.eye(2)
+        cols[1, 0] = entry
+        with pytest.raises(InvariantViolationError, match="non-finite"):
+            ObservableBasis(cols)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_eigenvalues(self, entry):
+        with pytest.raises(InvariantViolationError, match="finite"):
+            ObservableBasis(np.eye(2), eigenvalues=np.array([entry, 2.0]))
 
     def test_rejects_one_outcome(self):
         with pytest.raises(InvariantViolationError, match="two outcomes"):
