@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -43,30 +43,35 @@ class GeneratorSet:
     ``f`` and ``dsym`` are the totally antisymmetric and totally symmetric
     rank-3 structure tensors, f_ijk = Tr([G_i, G_j] G_k) / 4i and
     dsym_ijk = Tr({G_i, G_j} G_k) / 4. No computation here reads them:
-    ``wedge`` and ``star`` work through commutators instead. They are built
-    dense, (d^2-1)^3 reals, on first access and kept as reference values;
-    at d = 16 that takes seconds and about 1 GiB.
+    ``wedge`` and ``star`` work through commutators instead. Both tensors
+    are built together, dense, (d^2-1)^3 reals each, when either is first
+    read, and live as long as this set; they serve as reference values, and
+    at d = 16 they take seconds and about 1 GiB to build.
     """
 
     dim: int
     generators: np.ndarray
     c_d: float
 
-    @cached_property
+    @property
     def f(self) -> np.ndarray:
-        triple = self._trace_triple()
-        return _frozen(np.real((triple - triple.transpose(1, 0, 2)) / 4j))
+        return self._structure_tensors[0]
+
+    @property
+    def dsym(self) -> np.ndarray:
+        return self._structure_tensors[1]
 
     @cached_property
-    def dsym(self) -> np.ndarray:
-        triple = self._trace_triple()
-        return _frozen(np.real((triple + triple.transpose(1, 0, 2)) / 4.0))
-
-    def _trace_triple(self) -> np.ndarray:
-        """Tr(G_i G_j G_k) for every index triple."""
+    def _structure_tensors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(f, dsym) from the trace formulas, both from one pass over
+        Tr(G_i G_j G_k)."""
         gens = self.generators
         pair = np.einsum("iab,jbc->ijac", gens, gens)
-        return np.einsum("ijab,kba->ijk", pair, gens)
+        triple = np.einsum("ijab,kba->ijk", pair, gens)
+        del pair
+        f = np.real((triple - triple.transpose(1, 0, 2)) / 4j)
+        dsym = np.real((triple + triple.transpose(1, 0, 2)) / 4.0)
+        return _frozen(f), _frozen(dsym)
 
 
 @dataclass(frozen=True)
@@ -105,31 +110,31 @@ def build_generators(dim: int) -> GeneratorSet:
     Ordering is the symmetric off-diagonal block, then the antisymmetric
     block (both lexicographic in the index pair), then the diagonal block.
     For d = 2 this yields the Pauli matrices in their conventional order.
-    The set is built once per dimension and shared: its arrays are
-    read-only.
+    The generator array is read-only.
     """
     if dim < 2:
         raise ValueError(f"need dim >= 2, got {dim}")
-    return _generator_set(dim)
-
-
-@cache
-def _generator_set(dim: int) -> GeneratorSet:
-    rows, cols = np.triu_indices(dim, 1)
-    pairs = np.arange(rows.size)
-    gens = np.zeros((dim * dim - 1, dim, dim), dtype=complex)
-    gens[pairs, rows, cols] = 1.0
-    gens[pairs, cols, rows] = 1.0
-    gens[pairs.size + pairs, rows, cols] = -1.0j
-    gens[pairs.size + pairs, cols, rows] = 1.0j
+    mats = []
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[a, b] = 1.0
+            m[b, a] = 1.0
+            mats.append(m)
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[a, b] = -1.0j
+            m[b, a] = 1.0j
+            mats.append(m)
     for level in range(1, dim):
-        scale = math.sqrt(2.0 / (level * (level + 1)))
-        diag = gens[2 * pairs.size + level - 1]
-        diag[np.arange(level), np.arange(level)] = scale
-        diag[level, level] = -float(level) * scale
+        m = np.zeros((dim, dim), dtype=complex)
+        m[np.arange(level), np.arange(level)] = 1.0
+        m[level, level] = -float(level)
+        mats.append(m * math.sqrt(2.0 / (level * (level + 1))))
     return GeneratorSet(
         dim=dim,
-        generators=_frozen(gens),
+        generators=_frozen(np.stack(mats)),
         c_d=math.sqrt(dim * (dim - 1) / 2.0),
     )
 
