@@ -76,8 +76,8 @@ class GeneratorSet:
 
 @dataclass(frozen=True)
 class BlochVector:
-    """A point of the generalized Bloch ball: a real (d^2-1)-vector of
-    norm at most 1.
+    """A point of the generalized Bloch ball: a finite real (d^2-1)-vector
+    of norm at most 1.
 
     Membership in the ball is necessary but not sufficient for physicality
     when d > 2; conversion to a state is where positivity gets checked.
@@ -93,6 +93,9 @@ class BlochVector:
             raise InvariantViolationError(
                 f"expected a vector of length {n}, got shape {vec.shape}"
             )
+        # the norm check below is false for NaN, so test finiteness first
+        if not np.isfinite(vec).all():
+            raise InvariantViolationError("Bloch vector has non-finite entries")
         if np.linalg.norm(vec) > 1.0 + BALL_TOL:
             raise InvariantViolationError(
                 f"vector norm {np.linalg.norm(vec)!r} is outside the Bloch ball"
@@ -288,13 +291,16 @@ def qubit_measures(
 ) -> tuple[float, float]:
     """Closed qubit forms of the context and measurement incompatibilities.
 
-    Takes plain 3-vectors: the state vector r (norm <= 1) and the unit
+    Takes plain finite 3-vectors: the state vector r (norm <= 1) and the unit
     observable axes x and y. Returns the pair (entropic context
     incompatibility, measurement incompatibility 1 - (x.y)^2).
     """
     r = np.asarray(r, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    for vec, name in ((r, "state vector"), (x, "x axis"), (y, "y axis")):
+        if not np.isfinite(vec).all():
+            raise InvariantViolationError(f"{name} has non-finite entries")
     for axis, name in ((x, "x"), (y, "y")):
         if abs(np.linalg.norm(axis) - 1.0) > UNIT_NORM_TOL:
             raise InvariantViolationError(f"{name} axis is not a unit vector")

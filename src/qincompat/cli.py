@@ -7,7 +7,8 @@ is passed, which divides by ln 2 at the presentation layer only.
 
 Exit codes: 0 success, 2 parse error (unreadable document or a
 non-integer $QINCOMPAT_SEED), 3 invariant violation (non-finite numbers
-included), 4 malformed sweep grid, 5 protocol error, 6 search error,
+included), 4 malformed sweep grid, 5 protocol or numerical error (a failed
+cross-check or eigensolver in measure, sweep or protocol), 6 search error,
 7 geometry error.
 """
 
@@ -107,7 +108,11 @@ def _fixed(value: float) -> float:
 
 def cmd_measure(args) -> int:
     ctx = load_context_document(args.input)
-    report = incompatibility_report(ctx)
+    try:
+        report = incompatibility_report(ctx)
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PROTOCOL
     payload = {
         "i_context": _sig(report.i_context, args.bits),
         "i_initial": _sig(report.i_initial, args.bits),
@@ -146,7 +151,7 @@ def cmd_sweep(args) -> int:
     ctx = load_context_document(args.input)
     try:
         points = noise_sweep(ctx, grid)
-    except (ZeroInformationError, ValueError) as exc:
+    except (ZeroInformationError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
     print("epsilon,i_initial,i_final,ratio")

@@ -3,9 +3,12 @@ incompatibility.
 
 The quantifier equals 1 exactly when every squared overlap between the two
 eigenbases is 1/d, so driving it to its maximum over the unitary group is
-a MUB search. Candidate bases are parameterized by exponential coordinates
-over the SU(d) generators; the ascent uses finite-difference gradients
-with a backtracking line search and seeded random restarts.
+a MUB search. The ascent is Riemannian steepest ascent on U(d) (Abrudan,
+Eriksson & Koivunen, IEEE Trans. Signal Process. 56(3):1134, 2008): the
+objective's analytic gradient gives a skew-Hermitian direction, the
+candidate moves along the geodesic exp(mu G) U with an Armijo backtracking
+line search, and seeded random restarts start from exponential coordinates
+over the SU(d) generators.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from .bloch import GeneratorSet, build_generators
 from .core import ObservableBasis, _require_same_dim, transition_matrix
 from .measures import measurement_incompatibility
 
-GRADIENT_STEP = 1e-6
 STEP_FLOOR = 1e-12
 STALL_ITERATIONS = 10
-MOMENTUM = 0.9
+# fraction of the slope ||G||_F^2 that an accepted step must realise
+ARMIJO = 0.5
 
 
 @dataclass(frozen=True)
@@ -98,60 +101,53 @@ def mub_certificate(
     return max_deviation <= tol, max_deviation
 
 
-class _OverlapObjective:
-    """Batched evaluator of the squared-overlap incompatibility form.
+def _riemannian_gradient(fixed: np.ndarray, unitary: np.ndarray) -> np.ndarray:
+    """Skew-Hermitian gradient G = E U^H - U E^H of the incompatibility.
 
-    Computes exactly the formula ``measurement_incompatibility`` returns,
-    vectorized over many coefficient vectors at once so the finite
-    differences do not pay per-probe Python overhead. Accepted points are
-    still scored through the canonical function, which keeps the recorded
-    objective consistent with the measures module.
+    E = -(2/(d-1)) F (|W|^2 o W), with W = F^H U, is the Euclidean gradient
+    with respect to conj(U); along the geodesic exp(mu G) U the objective
+    rises at rate ||G||_F^2 at mu = 0.
     """
-
-    def __init__(self, fixed: ObservableBasis, gens: GeneratorSet) -> None:
-        self.fixed_dagger = fixed.vectors.conj().T
-        self.generators = gens.generators
-        self.dim = gens.dim
-
-    def __call__(self, coeff_rows: np.ndarray) -> np.ndarray:
-        d = self.dim
-        hermitians = np.tensordot(coeff_rows, self.generators, axes=1)
-        vals, vecs = np.linalg.eigh(hermitians)
-        phases = np.exp(1j * vals)
-        unitaries = (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-        overlaps = np.abs(np.einsum("ab,mbc->mac", self.fixed_dagger, unitaries)) ** 2
-        return (d - np.einsum("mjk,mjk->m", overlaps, overlaps)) / (d - 1)
+    d = unitary.shape[0]
+    overlaps = fixed.conj().T @ unitary
+    euclidean = (-2.0 / (d - 1)) * (fixed @ (np.abs(overlaps) ** 2 * overlaps))
+    half = euclidean @ unitary.conj().T
+    return half - half.conj().T
 
 
 def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> SearchResult:
     """Ascend the incompatibility against a fixed basis.
 
-    Central finite differences (step 1e-6) supply the gradient; the ascent
-    direction blends the gradient with the previous accepted displacement
-    (a momentum term, which cuts through the narrow valleys this landscape
-    develops for d >= 4), falling back to the bare gradient when the
-    blended direction fails. A backtracking line search halves the step
-    until the objective improves, down to a floor of 1e-12; the accepted
-    step is carried over (doubled, capped at ``step_init``) to seed the
-    next search. A restart triggers after ten consecutive iterations with
-    improvements below ``tol_obj``. The first start is the origin (the
-    computational basis); subsequent starts draw coefficients uniformly
-    from [-pi, pi]. Runs are deterministic for a given seed, and remaining
+    Each iteration takes the analytic Euclidean gradient of
+    M(U) = (d - sum |(F^H U)_jk|^4) / (d - 1), with F the fixed basis,
+    turns it into the skew-Hermitian Riemannian gradient G on U(d), and
+    diagonalizes iG once. Backtracking trials move along the geodesic
+    exp(mu G) U, halving mu down to a floor of 1e-12 until the Armijo
+    condition M(mu) - M >= mu ||G||_F^2 / 2 holds; the accepted step is
+    carried over (doubled, capped at ``step_init``) to seed the next search.
+    Every accepted point is rescored through ``measurement_incompatibility``.
+    A restart triggers after ten consecutive iterations with improvements
+    below ``tol_obj``. The first start is the computational basis; subsequent
+    starts are ``parameterize_basis`` of coefficients drawn uniformly from
+    [-pi, pi]. Runs are deterministic for a given seed, and remaining
     restarts are skipped once the objective is within ``tol_obj`` of its
-    maximum. The returned basis is the best across restarts, ties resolved
-    toward the earlier restart.
+    maximum. When the fixed basis is the computational one, the first start
+    is a critical point (G = 0) and that restart stalls at once. The
+    returned basis is the best across restarts, ties resolved toward the
+    earlier restart.
     """
     _require_same_dim(fixed.dim, config.dim)
-    gens = build_generators(config.dim)
+    d = config.dim
+    gens = build_generators(d)
     rng = np.random.default_rng(config.seed)
-    n = config.dim * config.dim - 1
-    probe = _OverlapObjective(fixed, gens)
+    fixed_dagger = fixed.vectors.conj().T
 
-    def objective(coeffs: np.ndarray) -> float:
-        return measurement_incompatibility(fixed, parameterize_basis(coeffs, gens))
+    def closed_form(unitary: np.ndarray) -> float:
+        overlaps = np.abs(fixed_dagger @ unitary) ** 2
+        return (d - float(np.sum(overlaps * overlaps))) / (d - 1)
 
     best_value = -1.0
-    best_coeffs = np.zeros(n)
+    best_basis = None
     trajectory: list[tuple[int, float]] = []
     restarts_used = 0
 
@@ -160,43 +156,35 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
             break
         restarts_used += 1
         if restart == 0:
-            coeffs = np.zeros(n)
+            basis = ObservableBasis.computational(d)
         else:
-            coeffs = rng.uniform(-np.pi, np.pi, n)
-        current = objective(coeffs)
+            basis = parameterize_basis(rng.uniform(-np.pi, np.pi, d * d - 1), gens)
+        current = measurement_incompatibility(fixed, basis)
         trajectory.append((0, current))
         stall = 0
         step_seed = config.step_init
-        displacement = np.zeros(n)
 
         for iteration in range(1, config.max_iters + 1):
-            gradient = _central_gradient(probe, coeffs)
-            directions = [gradient]
-            disp_norm = np.linalg.norm(displacement)
-            if disp_norm > 0.0:
-                blended = gradient + (
-                    MOMENTUM * np.linalg.norm(gradient) / disp_norm
-                ) * displacement
-                directions.insert(0, blended)
+            unitary = basis.vectors
+            # exp(mu G) = V diag(exp(-i mu lam)) V^H from one eigh of iG
+            lam, vecs = np.linalg.eigh(1j * _riemannian_gradient(fixed.vectors, unitary))
+            slope = float(lam @ lam)
+            rotated = vecs.conj().T @ unitary
 
             improved = 0.0
-            for direction in directions:
-                step = step_seed
-                accepted = False
-                while step >= STEP_FLOOR:
-                    candidate = coeffs + step * direction
-                    if probe(candidate[None, :])[0] > current:
-                        value = objective(candidate)
-                        if value > current:
-                            improved = value - current
-                            displacement = candidate - coeffs
-                            coeffs, current = candidate, value
-                            step_seed = min(2.0 * step, config.step_init)
-                            accepted = True
-                            break
-                    step /= 2.0
-                if accepted:
-                    break
+            step = step_seed
+            while step >= STEP_FLOOR:
+                trial = (vecs * np.exp(-1j * step * lam)) @ rotated
+                gain = closed_form(trial) - current
+                if gain > 0.0 and gain >= ARMIJO * step * slope:
+                    candidate = ObservableBasis(trial)
+                    value = measurement_incompatibility(fixed, candidate)
+                    if value > current:
+                        improved = value - current
+                        basis, current = candidate, value
+                        step_seed = min(2.0 * step, config.step_init)
+                        break
+                step /= 2.0
             trajectory.append((iteration, current))
             stall = stall + 1 if improved < config.tol_obj else 0
             if stall >= STALL_ITERATIONS:
@@ -204,9 +192,8 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
 
         if current > best_value:
             best_value = current
-            best_coeffs = coeffs
+            best_basis = basis
 
-    best_basis = parameterize_basis(best_coeffs, gens)
     certified, _ = mub_certificate(fixed, best_basis, config.tol_mub)
     return SearchResult(
         best_basis=best_basis,
@@ -215,13 +202,3 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
         trajectory=tuple(trajectory),
         restarts_used=restarts_used,
     )
-
-
-def _central_gradient(probe: _OverlapObjective, coeffs: np.ndarray) -> np.ndarray:
-    n = len(coeffs)
-    bumped = np.repeat(coeffs[None, :], 2 * n, axis=0)
-    idx = np.arange(n)
-    bumped[idx, idx] += GRADIENT_STEP
-    bumped[n + idx, idx] -= GRADIENT_STEP
-    values = probe(bumped)
-    return (values[:n] - values[n:]) / (2.0 * GRADIENT_STEP)

@@ -241,6 +241,11 @@ class TestStateConversion:
         with pytest.raises(InvariantViolationError, match="Bloch ball"):
             BlochVector(2, [1.2, 0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(InvariantViolationError, match="non-finite"):
+            BlochVector(2, [bad, 0.0, 0.0])
+
 
 class TestBlochFrames:
     def test_qubit_computational_frame(self):
@@ -420,6 +425,14 @@ class TestQubitMeasures:
             assert m == pytest.approx(
                 measurement_incompatibility(ctx.first, ctx.second), abs=1e-10
             )
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_input(self, position, bad):
+        vectors = [np.array([0.0, 0.0, 0.5]), np.array([1.0, 0, 0]), np.array([0, 0, 1.0])]
+        vectors[position] = np.array([bad, 0.0, 0.0])
+        with pytest.raises(InvariantViolationError, match="non-finite"):
+            qubit_measures(*vectors)
 
     def test_rejects_norm_violations(self):
         with pytest.raises(InvariantViolationError, match="unit"):

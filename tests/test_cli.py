@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qincompat.cli import main
+from qincompat.errors import CrossCheckError
 
 from _util import encode_matrix, qubit_basis, write_document
 
@@ -160,6 +161,33 @@ class TestSweepCommand:
         first = capsys.readouterr().out
         main(["sweep", mub_eigenstate_doc])
         assert capsys.readouterr().out == first
+
+
+class TestNumericalFailures:
+    # a failed cross-check or eigensolver is reported, never a traceback
+    @pytest.mark.parametrize(
+        "command, target",
+        [("measure", "incompatibility_report"), ("sweep", "noise_sweep")],
+    )
+    @pytest.mark.parametrize(
+        "error",
+        [
+            CrossCheckError("incompatibility forms disagree"),
+            np.linalg.LinAlgError("Eigenvalues did not converge"),
+        ],
+        ids=["cross-check", "eigh"],
+    )
+    def test_exit_code_five(
+        self, mub_eigenstate_doc, command, target, error, capsys, monkeypatch
+    ):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(f"qincompat.cli.{target}", fail)
+        assert main([command, mub_eigenstate_doc]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
 
 
 class TestProtocolCommand:

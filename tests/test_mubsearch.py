@@ -10,6 +10,7 @@ from qincompat.core import ObservableBasis, random_observable_basis, transition_
 from qincompat.measures import measurement_incompatibility
 from qincompat.mubsearch import (
     SearchConfig,
+    _riemannian_gradient,
     maximize_incompatibility,
     mub_certificate,
     parameterize_basis,
@@ -155,3 +156,48 @@ class TestMaximizeIncompatibility:
             SearchConfig(dim=2, restarts=0)
         with pytest.raises(ValueError):
             SearchConfig(dim=2, tol_mub=1e-12)
+
+
+class TestRiemannianAscent:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_slope_along_the_geodesic_is_the_squared_gradient_norm(self, d):
+        rng = np.random.default_rng(304 + d)
+        fixed = random_observable_basis(d, rng)
+        step = 1e-6
+        for _ in range(5):
+            unitary = random_observable_basis(d, rng).vectors
+            gradient = _riemannian_gradient(fixed.vectors, unitary)
+            np.testing.assert_array_equal(gradient, -gradient.conj().T)
+            lam, vecs = np.linalg.eigh(1j * gradient)
+
+            def along(mu):
+                moved = (vecs * np.exp(-1j * mu * lam)) @ vecs.conj().T @ unitary
+                return measurement_incompatibility(fixed, ObservableBasis(moved))
+
+            slope = (along(step) - along(-step)) / (2 * step)
+            squared_norm = float(np.sum(np.abs(gradient) ** 2))
+            assert slope == pytest.approx(squared_norm, rel=1e-6)
+
+    def test_restarts_start_from_the_seeded_draws(self):
+        # restart k >= 1 starts at the k-th uniform draw of default_rng(seed)
+        d, seed = 4, 17
+        config = SearchConfig(dim=d, restarts=4, max_iters=5, seed=seed)
+        fixed = ObservableBasis.computational(d)
+        result = maximize_incompatibility(fixed, config)
+        starts = [value for iteration, value in result.trajectory if iteration == 0]
+        assert len(starts) == result.restarts_used == 4
+        gens = build_generators(d)
+        rng = np.random.default_rng(seed)
+        for value in starts[1:]:
+            draw = rng.uniform(-np.pi, np.pi, d * d - 1)
+            assert value == measurement_incompatibility(fixed, parameterize_basis(draw, gens))
+
+    @pytest.mark.parametrize(
+        "d, restarts, max_iters",
+        [(5, 12, 1200), (6, 4, 800)],
+        ids=["criterion-8", "dimension-six"],
+    )
+    def test_converges_to_machine_precision(self, d, restarts, max_iters):
+        config = SearchConfig(dim=d, restarts=restarts, max_iters=max_iters, seed=0)
+        result = maximize_incompatibility(ObservableBasis.computational(d), config)
+        assert 1.0 - result.objective < 1e-10
