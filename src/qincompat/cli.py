@@ -7,9 +7,9 @@ is passed, which divides by ln 2 at the presentation layer only.
 
 Exit codes: 0 success, 2 parse error (unreadable document or a
 non-integer $QINCOMPAT_SEED), 3 invariant violation (non-finite numbers
-included), 4 malformed sweep grid, 5 protocol or numerical error (a failed
-cross-check or eigensolver in measure, sweep or protocol), 6 search error,
-7 geometry error.
+included), 4 malformed sweep grid (unless 0 < lo <= hi <= 1), 5 protocol or
+numerical error (a failed cross-check or eigensolver in measure, sweep or
+protocol), 6 search error (--dim outside 2..16 included), 7 geometry error.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ EXIT_GRID = 4
 EXIT_PROTOCOL = 5
 EXIT_SEARCH = 6
 EXIT_GEOMETRY = 7
+
+# top of the documented range; the search's generator set grows as d^4
+MAX_MUB_DIM = 16
 
 SEED_ENV_VAR = "QINCOMPAT_SEED"
 DOCUMENT_VERSION = "1"
@@ -135,7 +138,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
         raise DocumentError(f"malformed grid spec {spec!r}") from exc
-    if count < 1 or lo <= 0 or hi < lo:
+    # written so that NaN fails it too
+    if count < 1 or not (0 < lo <= hi <= 1):
         raise DocumentError(f"grid spec {spec!r} out of range")
     if parts[0] == "log":
         return np.logspace(math.log10(lo), math.log10(hi), count)
@@ -184,6 +188,9 @@ def cmd_protocol(args) -> int:
 
 
 def cmd_mub(args) -> int:
+    if not 2 <= args.dim <= MAX_MUB_DIM:
+        print(f"error: --dim must lie in 2..{MAX_MUB_DIM}, got {args.dim}", file=sys.stderr)
+        return EXIT_SEARCH
     seed = args.seed
     if seed is None:
         raw = os.environ.get(SEED_ENV_VAR, "0")

@@ -6,6 +6,10 @@ once- and twice-dephased states. A context carries no such resource exactly
 when the observables commute or when the first measurement already leaves
 the state maximally mixed; ``classify_context`` separates the two free
 cases from everything else.
+
+Every context measure is a closed form in the Born distribution p of the
+first basis, the transition matrix T_jk = |<x_j|y_k>|^2 and q = T^T p, all
+computed by ``_distributions``; no dephased state is built for them.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .errors import (
 COMMUTATION_TOL = 1e-10
 ZERO_INFO_NORM_TOL = 1e-10
 ZERO_INFO_DENOMINATOR_TOL = 1e-12
-FORM_AGREEMENT_TOL = 1e-10
 ALGEBRAIC_AGREEMENT_TOL = 1e-12
 CHANNEL_STRUCTURE_TOL = 1e-10
 CHANNEL_COMMUTATION_TOL = 1e-9
@@ -70,17 +73,45 @@ class IncompatibilityReport:
     classification: ContextClass
 
 
+def _distributions(ctx: Context) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, T, q): the Born distribution in the first basis, the transition
+    matrix, and q = T^T p, the distribution after both measurements."""
+    p = outcome_probabilities(ctx.state, ctx.first)
+    trans = transition_matrix(ctx.first, ctx.second)
+    return p, trans, trans.T @ p
+
+
+def _overlap_form(trans: np.ndarray) -> float:
+    """Measurement incompatibility (d - sum T_jk^2) / (d - 1) of a transition matrix."""
+    d = trans.shape[0]
+    return (d - float(np.sum(trans * trans))) / (d - 1)
+
+
+def _spread_sq(p: np.ndarray) -> float:
+    """||p - 1/d||^2, which equals ||sigma - I/d||^2 for the dephased state."""
+    return float(np.sum((p - 1.0 / len(p)) ** 2))
+
+
+def _leakage(p: np.ndarray, trans: np.ndarray, q: np.ndarray) -> float:
+    """sum_jk T_jk (p_j - q_k)^2 / ||p - 1/d||^2, zero information rejected."""
+    denominator = _spread_sq(p)
+    if denominator <= ZERO_INFO_DENOMINATOR_TOL:
+        raise ZeroInformationError(
+            "dephased state is maximally mixed; leakage ratio undefined"
+        )
+    return float(np.sum(trans * (p[:, None] - q) ** 2)) / denominator
+
+
 def context_incompatibility(ctx: Context) -> float:
     """Information consumed by the second measurement, in nats.
 
-    Computed as the Shannon-entropy gap between the composed outcome
-    distribution and the first-measurement distribution. This route is
-    always finite; the operator relative entropy agrees with it whenever
+    Computed as the Shannon-entropy gap H(q) - H(p) between the composed
+    outcome distribution and the first-measurement distribution. This route
+    is always finite; the operator relative entropy agrees with it whenever
     that form is finite.
     """
-    p_first = outcome_probabilities(ctx.state, ctx.first)
-    p_second = transition_matrix(ctx.first, ctx.second).T @ p_first
-    return shannon_entropy(p_second) - shannon_entropy(p_first)
+    p, _, q = _distributions(ctx)
+    return shannon_entropy(q) - shannon_entropy(p)
 
 
 def coherence_form(ctx: Context) -> float:
@@ -101,18 +132,12 @@ def coherence_form(ctx: Context) -> float:
 def leakage_ratio(ctx: Context) -> float:
     """Extracted over injected information in the large-noise limit.
 
-    A squared Hilbert-Schmidt norm ratio in [0, 1]. Undefined (raises) when
-    the first measurement leaves the state maximally mixed.
+    The squared Hilbert-Schmidt norm ratio ||tau - sigma||^2 / ||sigma - I/d||^2
+    of the once- and twice-dephased states, in [0, 1], evaluated as
+    sum_jk T_jk (p_j - q_k)^2 / ||p - 1/d||^2. Undefined (raises) when the
+    first measurement leaves the state maximally mixed (denominator <= 1e-12).
     """
-    sigma = dephase(ctx.state, ctx.first)
-    tau = dephase(sigma, ctx.second)
-    d = ctx.dim
-    denominator = hs_norm_sq(sigma.entries - np.eye(d) / d)
-    if denominator <= ZERO_INFO_DENOMINATOR_TOL:
-        raise ZeroInformationError(
-            "dephased state is maximally mixed; leakage ratio undefined"
-        )
-    return hs_norm_sq(tau.entries - sigma.entries) / denominator
+    return _leakage(*_distributions(ctx))
 
 
 def eigenstate_ratio(j: int, first: ObservableBasis, second: ObservableBasis) -> float:
@@ -133,32 +158,13 @@ def eigenstate_ratio(j: int, first: ObservableBasis, second: ObservableBasis) ->
 def measurement_incompatibility(first: ObservableBasis, second: ObservableBasis) -> float:
     """State-independent incompatibility of an observable pair, in [0, 1].
 
-    Three routes are evaluated and cross-checked to 1e-10: the average of
-    the per-eigenstate leakage ratios, the squared-overlap form, and the
-    projector-commutator form. Zero only for commuting pairs, one only for
-    mutually unbiased eigenbases; symmetric under swapping the pair.
+    The squared-overlap form (d - sum_jk T_jk^2) / (d - 1). It equals the
+    average of the per-eigenstate leakage ratios and the projector-commutator
+    form sum_jk ||[P_j, Q_k]||^2 / (2(d - 1)). Zero only for commuting pairs,
+    one only for mutually unbiased eigenbases; symmetric under swapping the
+    pair.
     """
-    _require_same_dim(first.dim, second.dim)
-    d = first.dim
-    trans = transition_matrix(first, second)
-
-    row_purities = np.einsum("jk,jk->j", trans, trans)
-    averaged = d / (d - 1) * float(np.mean(1.0 - row_purities))
-    overlap_form = (d - float(np.sum(trans * trans))) / (d - 1)
-
-    proj_first = first.projectors()
-    proj_second = second.projectors()
-    commutators = np.einsum("jab,kbc->jkac", proj_first, proj_second) - np.einsum(
-        "kab,jbc->jkac", proj_second, proj_first
-    )
-    commutator_form = float(np.sum(np.abs(commutators) ** 2)) / (2 * (d - 1))
-
-    forms = (averaged, overlap_form, commutator_form)
-    if max(forms) - min(forms) > FORM_AGREEMENT_TOL:
-        raise CrossCheckError(
-            f"incompatibility forms disagree: {forms}"
-        )
-    return overlap_form
+    return _overlap_form(transition_matrix(first, second))
 
 
 def algebraic_incompatibility(first: ObservableBasis, second: ObservableBasis) -> float:
@@ -191,15 +197,19 @@ def classify_context(ctx: Context) -> ContextClass:
 
     Commutation is decided on the eigenvalue-weighted observable matrices
     at Hilbert-Schmidt norm 1e-10 and is checked first; a context that is
-    free both ways reports FREE_COMMUTING.
+    free both ways reports FREE_COMMUTING. Zero information means
+    ||p - 1/d|| <= 1e-10, which is the distance of the dephased state from
+    the maximally mixed one.
     """
+    return _classify(ctx, _distributions(ctx)[0])
+
+
+def _classify(ctx: Context, p: np.ndarray) -> ContextClass:
     x_mat = ctx.first.matrix()
     y_mat = ctx.second.matrix()
     if math.sqrt(hs_norm_sq(x_mat @ y_mat - y_mat @ x_mat)) <= COMMUTATION_TOL:
         return ContextClass.FREE_COMMUTING
-    sigma = dephase(ctx.state, ctx.first)
-    offset = sigma.entries - np.eye(ctx.dim) / ctx.dim
-    if math.sqrt(hs_norm_sq(offset)) <= ZERO_INFO_NORM_TOL:
+    if math.sqrt(_spread_sq(p)) <= ZERO_INFO_NORM_TOL:
         return ContextClass.FREE_ZERO_INFO
     return ContextClass.RESOURCEFUL
 
@@ -295,16 +305,12 @@ def monotonicity_check(ctx: Context, kraus: list[np.ndarray]) -> tuple[float, fl
 
 
 def incompatibility_report(ctx: Context) -> IncompatibilityReport:
-    """Compute every measure of a context in one pass."""
-    i_initial = float(
-        math.log(ctx.dim)
-        - shannon_entropy(outcome_probabilities(ctx.state, ctx.first))
-    )
-    p_first = outcome_probabilities(ctx.state, ctx.first)
-    p_second = transition_matrix(ctx.first, ctx.second).T @ p_first
-    i_final = float(math.log(ctx.dim) - shannon_entropy(p_second))
+    """Compute every measure of a context from one (p, T, q) evaluation."""
+    p, trans, q = _distributions(ctx)
+    i_initial = math.log(ctx.dim) - shannon_entropy(p)
+    i_final = math.log(ctx.dim) - shannon_entropy(q)
     try:
-        ratio: float | None = leakage_ratio(ctx)
+        ratio: float | None = _leakage(p, trans, q)
     except ZeroInformationError:
         ratio = None
     return IncompatibilityReport(
@@ -312,6 +318,6 @@ def incompatibility_report(ctx: Context) -> IncompatibilityReport:
         i_initial=i_initial,
         i_final=i_final,
         ratio=ratio,
-        m_measurement=measurement_incompatibility(ctx.first, ctx.second),
-        classification=classify_context(ctx),
+        m_measurement=_overlap_form(trans),
+        classification=_classify(ctx, p),
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bloch import GeneratorSet, build_generators
 from .core import ObservableBasis, _require_same_dim, transition_matrix
-from .measures import measurement_incompatibility
+from .measures import _overlap_form, measurement_incompatibility
 
 STEP_FLOOR = 1e-12
 STALL_ITERATIONS = 10
@@ -125,7 +125,9 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
     exp(mu G) U, halving mu down to a floor of 1e-12 until the Armijo
     condition M(mu) - M >= mu ||G||_F^2 / 2 holds; the accepted step is
     carried over (doubled, capped at ``step_init``) to seed the next search.
-    Every accepted point is rescored through ``measurement_incompatibility``.
+    Trial points are scored by the same squared-overlap form as
+    ``measurement_incompatibility``, so an accepted trial keeps its score;
+    it is rebuilt as an ``ObservableBasis``, which checks its Gram matrix.
     A restart triggers after ten consecutive iterations with improvements
     below ``tol_obj``. The first start is the computational basis; subsequent
     starts are ``parameterize_basis`` of coefficients drawn uniformly from
@@ -141,10 +143,6 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
     gens = build_generators(d)
     rng = np.random.default_rng(config.seed)
     fixed_dagger = fixed.vectors.conj().T
-
-    def closed_form(unitary: np.ndarray) -> float:
-        overlaps = np.abs(fixed_dagger @ unitary) ** 2
-        return (d - float(np.sum(overlaps * overlaps))) / (d - 1)
 
     best_value = -1.0
     best_basis = None
@@ -175,15 +173,13 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
             step = step_seed
             while step >= STEP_FLOOR:
                 trial = (vecs * np.exp(-1j * step * lam)) @ rotated
-                gain = closed_form(trial) - current
+                value = _overlap_form(np.abs(fixed_dagger @ trial) ** 2)
+                gain = value - current
                 if gain > 0.0 and gain >= ARMIJO * step * slope:
-                    candidate = ObservableBasis(trial)
-                    value = measurement_incompatibility(fixed, candidate)
-                    if value > current:
-                        improved = value - current
-                        basis, current = candidate, value
-                        step_seed = min(2.0 * step, config.step_init)
-                        break
+                    improved = gain
+                    basis, current = ObservableBasis(trial), value
+                    step_seed = min(2.0 * step, config.step_init)
+                    break
                 step /= 2.0
             trajectory.append((iteration, current))
             stall = stall + 1 if improved < config.tol_obj else 0

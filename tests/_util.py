@@ -63,6 +63,14 @@ def mub_mixture_context(dim: int, rng: np.random.Generator) -> Context:
     return Context(state, first, second)
 
 
+def zero_information_context(dim: int, rng: np.random.Generator) -> Context:
+    """Pure state with equal overlaps on every vector of the first basis."""
+    first = random_observable_basis(dim, rng)
+    phases = np.exp(2j * np.pi * rng.uniform(size=dim))
+    state = DensityMatrix.pure(first.vectors @ phases)
+    return Context(state, first, random_observable_basis(dim, rng))
+
+
 def encode_matrix(matrix) -> list:
     matrix = np.asarray(matrix, dtype=complex)
     return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]

@@ -148,7 +148,18 @@ class TestSweepCommand:
         assert len(lines) == 8
 
     @pytest.mark.parametrize(
-        "spec", ["geometric:1:2:3", "log:1e-4:1", "log:0:1:5", "lin:0.5:0.1:5", "log:a:b:5"]
+        "spec",
+        [
+            "geometric:1:2:3",
+            "log:1e-4:1",
+            "log:0:1:5",
+            "lin:0.5:0.1:5",
+            "log:a:b:5",
+            "log:1e-4:nan:3",
+            "lin:nan:nan:3",
+            "log:1e-4:2:3",
+            "lin:0.5:inf:3",
+        ],
     )
     def test_malformed_grid_exit_code(self, mub_eigenstate_doc, spec, capsys):
         assert main(["sweep", mub_eigenstate_doc, "--eps-grid", spec]) == 4
@@ -222,6 +233,18 @@ class TestMubCommand:
         assert main(["mub", "--dim", "2", "--restarts", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["seed"] == 13
+
+    @pytest.mark.parametrize("dim", ["17", "5000"])
+    def test_dimension_above_documented_range(self, dim, capsys, monkeypatch):
+        def search(*args, **kwargs):
+            raise AssertionError("the search was reached")
+
+        monkeypatch.setattr("qincompat.cli.maximize_incompatibility", search)
+        monkeypatch.setattr("qincompat.cli.SearchConfig", search)
+        assert main(["mub", "--dim", dim]) == 6
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --dim must lie in 2..16, got {dim}\n"
 
     def test_non_integer_seed_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("QINCOMPAT_SEED", "abc")

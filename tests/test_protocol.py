@@ -30,6 +30,7 @@ from qincompat.protocol import (
     weak_measure,
 )
 
+from _oracles import dilation_ledger
 from _util import commuting_context, eigenstate_context, qubit_basis, random_context
 
 LN2 = math.log(2.0)
@@ -189,6 +190,9 @@ class TestNoiseSweep:
             noise_sweep(ctx, np.array([0.0, 0.5]))
         with pytest.raises(ValueError):
             noise_sweep(ctx, np.array([1.5]))
+        # a NaN strength is out of range, not a vanished injection
+        with pytest.raises(ValueError):
+            noise_sweep(ctx, np.array([math.nan]))
 
     def test_concavity_bounds_hold_on_grid(self):
         rng = np.random.default_rng(211)
@@ -313,7 +317,7 @@ class TestMassModel:
 class TestDilationConsistency:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_partial_trace_reproduces_sequential_dephasing(self, d):
-        # exercised inside the ledger; spot-check the reduced state directly
+        # the closed-form ledger against the sequentially dephased state
         rng = np.random.default_rng(217)
         ctx = random_context(d, rng)
         ledger = stinespring_ledger(ctx)
@@ -327,27 +331,8 @@ class TestDilationConsistency:
         rng = np.random.default_rng(218)
         ctx = random_context(d, rng)
         ledger = stinespring_ledger(ctx)
-
-        sigma = dephase(ctx.state, ctx.first)
-        cols = ctx.second.vectors
-        coupling = np.zeros((d * d, d * d), dtype=complex)
-        for k in range(d):
-            projector = np.outer(cols[:, k], cols[:, k].conj())
-            shift = np.zeros((d, d))
-            shift[(np.arange(d) - k) % d, np.arange(d)] = 1.0
-            coupling += np.kron(projector, shift)
-        pointer0 = np.zeros((d, d), dtype=complex)
-        pointer0[0, 0] = 1.0
-        joint = coupling @ np.kron(sigma.entries, pointer0) @ coupling.conj().T
-        blocks = joint.reshape(d, d, d, d)
-        entropy_system = shannon_entropy(
-            np.linalg.eigvalsh(np.einsum("ikjk->ij", blocks))
-        )
-        entropy_pointer = shannon_entropy(
-            np.linalg.eigvalsh(np.einsum("ikil->kl", blocks))
-        )
-        entropy_joint = shannon_entropy(np.linalg.eigvalsh(joint))
-        other_sum = (entropy_system + entropy_pointer - entropy_joint) - entropy_pointer
+        other, _ = dilation_ledger(ctx, -1)
+        other_sum = other.delta_apparatus + other.mutual_info
         assert other_sum == pytest.approx(
             ledger.delta_apparatus + ledger.mutual_info, abs=1e-9
         )
