@@ -243,13 +243,6 @@ def outcome_probabilities(rho: DensityMatrix, basis: ObservableBasis) -> np.ndar
     return probability_vector(raw)
 
 
-def _dephase_matrix(matrix: np.ndarray, basis: ObservableBasis) -> np.ndarray:
-    """sum_j P_j M P_j for a raw (not necessarily Hermitian) matrix."""
-    cols = basis.vectors
-    diag = np.einsum("aj,ab,bj->j", cols.conj(), matrix, cols)
-    return (cols * diag) @ cols.conj().T
-
-
 def dephase(rho: DensityMatrix, basis: ObservableBasis) -> DensityMatrix:
     """Unrevealed projective measurement of ``basis`` on ``rho``.
 

@@ -24,7 +24,6 @@ from .core import (
     Context,
     DensityMatrix,
     ObservableBasis,
-    _dephase_matrix,
     _require_same_dim,
     dephase,
     hs_norm_sq,
@@ -42,7 +41,6 @@ from .errors import (
 
 COMMUTATION_TOL = 1e-10
 ZERO_INFO_NORM_TOL = 1e-10
-ZERO_INFO_DENOMINATOR_TOL = 1e-12
 ALGEBRAIC_AGREEMENT_TOL = 1e-12
 CHANNEL_STRUCTURE_TOL = 1e-10
 CHANNEL_COMMUTATION_TOL = 1e-9
@@ -95,7 +93,7 @@ def _spread_sq(p: np.ndarray) -> float:
 def _leakage(p: np.ndarray, trans: np.ndarray, q: np.ndarray) -> float:
     """sum_jk T_jk (p_j - q_k)^2 / ||p - 1/d||^2, zero information rejected."""
     denominator = _spread_sq(p)
-    if denominator <= ZERO_INFO_DENOMINATOR_TOL:
+    if math.sqrt(denominator) <= ZERO_INFO_NORM_TOL:
         raise ZeroInformationError(
             "dephased state is maximally mixed; leakage ratio undefined"
         )
@@ -135,7 +133,8 @@ def leakage_ratio(ctx: Context) -> float:
     The squared Hilbert-Schmidt norm ratio ||tau - sigma||^2 / ||sigma - I/d||^2
     of the once- and twice-dephased states, in [0, 1], evaluated as
     sum_jk T_jk (p_j - q_k)^2 / ||p - 1/d||^2. Undefined (raises) when the
-    first measurement leaves the state maximally mixed (denominator <= 1e-12).
+    first measurement leaves the state maximally mixed, ||p - 1/d|| <= 1e-10,
+    the same zero-information rule as ``classify_context``.
     """
     return _leakage(*_distributions(ctx))
 
@@ -214,11 +213,6 @@ def _classify(ctx: Context, p: np.ndarray) -> ContextClass:
     return ContextClass.RESOURCEFUL
 
 
-def apply_kraus(matrix: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
-    """sum_k K_k M K_k^dagger on a raw matrix."""
-    return sum(k @ matrix @ k.conj().T for k in kraus)
-
-
 def depolarizing_kraus(dim: int, weight: float) -> list[np.ndarray]:
     """Kraus operators of rho -> (1 - weight) rho + weight * identity/d.
 
@@ -243,59 +237,71 @@ def depolarizing_kraus(dim: int, weight: float) -> list[np.ndarray]:
     return ops
 
 
+def _transfer_matrix(ops: np.ndarray) -> np.ndarray:
+    """S = sum_k K_k (x) conj(K_k) of stacked (n, d, d) Kraus operators, from
+    one product of their (n, d^2) rows: vec(A M B) = (A (x) B^T) vec(M) under
+    row-major vec, so S vec(M) = vec(sum_k K_k M K_k^dagger)."""
+    n, d, _ = ops.shape
+    rows = ops.reshape(n, d * d)
+    pairs = (rows.T @ rows.conj()).reshape(d, d, d, d)
+    return pairs.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def _commutation_gaps(
+    transfer: np.ndarray, first: ObservableBasis, second: ObservableBasis
+) -> list[np.ndarray]:
+    """Hilbert-Schmidt norms of Phi(D(E_u)) - D(Phi(E_u)) on every matrix
+    unit E_u, in row-major order, for D the first and then the sequential
+    dephasing map: the column norms of S D - D S."""
+    dephasings = [_transfer_matrix(first.projectors())]
+    dephasings.append(_transfer_matrix(second.projectors()) @ dephasings[0])
+    return [np.linalg.norm(transfer @ m - m @ transfer, axis=0) for m in dephasings]
+
+
 def validate_free_operation(
     kraus: list[np.ndarray], first: ObservableBasis, second: ObservableBasis
 ) -> None:
     """Check that a Kraus channel qualifies as a free operation.
 
-    Requires unitality, trace preservation, and commutation with both the
-    single and the sequential dephasing map, tested on the full basis of
-    matrix units. Raises ChannelValidationError naming the first violated
-    condition.
+    Reads each condition off the channel's d^2 x d^2 transfer matrix S, in
+    this order: d x d operators, finite entries, unitality S vec(I) = vec(I)
+    and trace preservation vec(I)^T S = vec(I)^T (entrywise to 1e-10), then
+    commutation with the first dephasing map on every matrix unit before the
+    sequential one (Hilbert-Schmidt gap 1e-9 per unit). Raises
+    ChannelValidationError naming the first violated condition.
     """
     d = first.dim
-    identity = np.eye(d)
-    if any(k.shape != (d, d) for k in kraus):
+    if any(np.shape(k) != (d, d) for k in kraus):
         raise ChannelValidationError("Kraus operators have the wrong shape")
-    unital = sum(k @ k.conj().T for k in kraus)
-    if np.max(np.abs(unital - identity)) > CHANNEL_STRUCTURE_TOL:
+    ops = np.array(kraus, dtype=complex).reshape(len(kraus), d, d)
+    # every tolerance check below is false for NaN, so test finiteness first
+    if not np.isfinite(ops).all():
+        raise ChannelValidationError("Kraus operators have non-finite entries")
+    transfer = _transfer_matrix(ops)
+    vec_identity = np.eye(d).ravel()
+    if np.max(np.abs(transfer @ vec_identity - vec_identity)) > CHANNEL_STRUCTURE_TOL:
         raise ChannelValidationError("channel is not unital")
-    trace_pres = sum(k.conj().T @ k for k in kraus)
-    if np.max(np.abs(trace_pres - identity)) > CHANNEL_STRUCTURE_TOL:
+    if np.max(np.abs(vec_identity @ transfer - vec_identity)) > CHANNEL_STRUCTURE_TOL:
         raise ChannelValidationError("channel is not trace preserving")
-
-    def _sequential(mat: np.ndarray) -> np.ndarray:
-        return _dephase_matrix(_dephase_matrix(mat, first), second)
-
-    for a in range(d):
-        for b in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[a, b] = 1.0
-            gap_first = apply_kraus(_dephase_matrix(unit, first), kraus) - _dephase_matrix(
-                apply_kraus(unit, kraus), first
+    gaps = _commutation_gaps(transfer, first, second)
+    for name, unit_gaps in zip(("first", "sequential"), gaps):
+        if unit_gaps.max() > CHANNEL_COMMUTATION_TOL:
+            raise ChannelValidationError(
+                f"channel does not commute with the {name} dephasing map"
             )
-            if math.sqrt(hs_norm_sq(gap_first)) > CHANNEL_COMMUTATION_TOL:
-                raise ChannelValidationError(
-                    "channel does not commute with the first dephasing map"
-                )
-            gap_seq = apply_kraus(_sequential(unit), kraus) - _sequential(
-                apply_kraus(unit, kraus)
-            )
-            if math.sqrt(hs_norm_sq(gap_seq)) > CHANNEL_COMMUTATION_TOL:
-                raise ChannelValidationError(
-                    "channel does not commute with the sequential dephasing map"
-                )
 
 
 def monotonicity_check(ctx: Context, kraus: list[np.ndarray]) -> tuple[float, float]:
     """Context incompatibility before and after a validated free operation.
 
-    The channel is validated rather than trusted; a valid free operation
-    can never increase the resource, and that is enforced at slack 1e-9.
+    The channel is validated rather than trusted, then applied as S vec(rho)
+    with its transfer matrix S; a valid free operation can never increase
+    the resource, and that is enforced at slack 1e-9.
     """
     validate_free_operation(kraus, ctx.first, ctx.second)
     before = context_incompatibility(ctx)
-    mapped = DensityMatrix(apply_kraus(ctx.state.entries, kraus))
+    transfer = _transfer_matrix(np.array(kraus, dtype=complex))
+    mapped = DensityMatrix((transfer @ ctx.state.entries.ravel()).reshape(ctx.dim, ctx.dim))
     after = context_incompatibility(Context(mapped, ctx.first, ctx.second))
     if after > before + MONOTONICITY_SLACK:
         raise CrossCheckError(

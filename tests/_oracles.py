@@ -1,9 +1,11 @@
 """Operator-level reference routes for the closed-form measures.
 
-The library computes every context measure from the distributions (p, T, q).
-The routes here build the operators instead: projector commutators, dephased
-density matrices and the d^2 x d^2 controlled-shift dilation. The tests
-compare the closed forms against them, each to the tolerance named below.
+The library computes every context measure from the distributions (p, T, q),
+and checks free operations on d^2 x d^2 transfer matrices. The routes here
+build the operators instead: projector commutators, dephased density
+matrices, the d^2 x d^2 controlled-shift dilation, and Kraus operators
+applied to each matrix unit. The tests compare the library against them,
+each to the tolerance named below.
 """
 
 import math
@@ -20,7 +22,13 @@ from qincompat.core import (
     shannon_entropy,
     von_neumann_entropy,
 )
-from qincompat.measures import COMMUTATION_TOL, ZERO_INFO_NORM_TOL, ContextClass
+from qincompat.measures import (
+    CHANNEL_COMMUTATION_TOL,
+    CHANNEL_STRUCTURE_TOL,
+    COMMUTATION_TOL,
+    ZERO_INFO_NORM_TOL,
+    ContextClass,
+)
 from qincompat.protocol import LedgerEntry
 
 FORM_AGREEMENT_TOL = 1e-10
@@ -29,6 +37,7 @@ RATIO_INVARIANCE_TOL = 1e-9
 # operator ratio of float precision
 NORM_CHECK_FLOOR = 1e-9
 DILATION_TRACE_TOL = 1e-10
+TRANSFER_AGREEMENT_TOL = 1e-12
 
 
 def commutator_incompatibility(first: ObservableBasis, second: ObservableBasis) -> float:
@@ -106,3 +115,64 @@ def dilation_ledger(ctx: Context, direction: int = 1) -> tuple[LedgerEntry, np.n
         mutual_info=entropy_system + entropy_pointer - entropy_joint,
     )
     return entry, system
+
+
+def apply_kraus(matrix: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
+    """sum_k K_k M K_k^dagger on a raw matrix."""
+    return sum(k @ matrix @ k.conj().T for k in kraus)
+
+
+def dephase_matrix(matrix: np.ndarray, basis: ObservableBasis) -> np.ndarray:
+    """sum_j P_j M P_j for a raw (not necessarily Hermitian) matrix."""
+    cols = basis.vectors
+    diag = np.einsum("aj,ab,bj->j", cols.conj(), matrix, cols)
+    return (cols * diag) @ cols.conj().T
+
+
+def matrix_unit_gaps(
+    kraus: list[np.ndarray], first: ObservableBasis, second: ObservableBasis
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hilbert-Schmidt norms of the channel's commutation gaps with the first
+    and with the sequential dephasing map, on each matrix unit E_ab in
+    row-major order, from every Kraus operator applied to the unit."""
+
+    def sequential(mat: np.ndarray) -> np.ndarray:
+        return dephase_matrix(dephase_matrix(mat, first), second)
+
+    d = first.dim
+    gaps_first, gaps_seq = [], []
+    for a in range(d):
+        for b in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[a, b] = 1.0
+            gap_first = apply_kraus(dephase_matrix(unit, first), kraus) - dephase_matrix(
+                apply_kraus(unit, kraus), first
+            )
+            gap_seq = apply_kraus(sequential(unit), kraus) - sequential(
+                apply_kraus(unit, kraus)
+            )
+            gaps_first.append(math.sqrt(hs_norm_sq(gap_first)))
+            gaps_seq.append(math.sqrt(hs_norm_sq(gap_seq)))
+    return np.array(gaps_first), np.array(gaps_seq)
+
+
+def matrix_unit_verdict(
+    kraus: list[np.ndarray], first: ObservableBasis, second: ObservableBasis
+) -> str | None:
+    """The message of the first condition the matrix-unit check finds
+    violated, or None: unitality and trace preservation from the operator
+    sums, then the two commutation gaps unit by unit, interleaved."""
+    d = first.dim
+    identity = np.eye(d)
+    if any(k.shape != (d, d) for k in kraus):
+        return "Kraus operators have the wrong shape"
+    if np.max(np.abs(sum(k @ k.conj().T for k in kraus) - identity)) > CHANNEL_STRUCTURE_TOL:
+        return "channel is not unital"
+    if np.max(np.abs(sum(k.conj().T @ k for k in kraus) - identity)) > CHANNEL_STRUCTURE_TOL:
+        return "channel is not trace preserving"
+    for gap_first, gap_seq in zip(*matrix_unit_gaps(kraus, first, second)):
+        if gap_first > CHANNEL_COMMUTATION_TOL:
+            return "channel does not commute with the first dephasing map"
+        if gap_seq > CHANNEL_COMMUTATION_TOL:
+            return "channel does not commute with the sequential dephasing map"
+    return None

@@ -21,7 +21,6 @@ from qincompat.errors import (
 from qincompat.measures import (
     ContextClass,
     algebraic_incompatibility,
-    apply_kraus,
     classify_context,
     coherence_form,
     context_incompatibility,
@@ -31,8 +30,10 @@ from qincompat.measures import (
     leakage_ratio,
     measurement_incompatibility,
     monotonicity_check,
+    validate_free_operation,
 )
 
+from _oracles import apply_kraus
 from _util import (
     commuting_context,
     eigenstate_context,
@@ -375,6 +376,27 @@ class TestMonotonicity:
                 atol=1e-12,
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite_kraus_operators(self, bad):
+        kraus = [np.array([[bad, 0], [0, 1]], dtype=complex)]
+        first, second = ObservableBasis.computational(2), ObservableBasis.fourier(2)
+        with pytest.raises(ChannelValidationError, match="non-finite"):
+            validate_free_operation(kraus, first, second)
+        ctx = Context(DensityMatrix.maximally_mixed(2), first, second)
+        with pytest.raises(ChannelValidationError, match="non-finite"):
+            monotonicity_check(ctx, kraus)
+
+    def test_empty_kraus_list_is_not_unital(self):
+        first, second = ObservableBasis.computational(3), ObservableBasis.fourier(3)
+        with pytest.raises(ChannelValidationError, match="channel is not unital"):
+            validate_free_operation([], first, second)
+
+    def test_wrong_shape_is_checked_before_finiteness(self):
+        first, second = ObservableBasis.computational(2), ObservableBasis.fourier(2)
+        kraus = [np.full((3, 3), math.nan, dtype=complex)]
+        with pytest.raises(ChannelValidationError, match="wrong shape"):
+            validate_free_operation(kraus, first, second)
+
 
 class TestReport:
     def test_fields_cohere(self):
@@ -402,3 +424,23 @@ class TestReport:
         report = incompatibility_report(ctx)
         assert report.ratio is None
         assert report.classification is ContextClass.FREE_ZERO_INFO
+
+    def test_class_and_ratio_share_the_zero_information_rule(self):
+        first, second = ObservableBasis.computational(2), ObservableBasis.fourier(2)
+        # ||p - 1/d|| = 1.4e-8: above the 1e-10 rule, so the ratio is defined
+        informative = Context(
+            DensityMatrix([[0.5 + 1e-8, 0.3], [0.3, 0.5 - 1e-8]]), first, second
+        )
+        report = incompatibility_report(informative)
+        assert report.classification is ContextClass.RESOURCEFUL
+        assert report.ratio == pytest.approx(1.0, abs=1e-6)
+        # ||p - 1/d|| = 5e-11: below it, so the context is free and the ratio undefined
+        offset = 5e-11 / math.sqrt(2)
+        silent = Context(
+            DensityMatrix([[0.5 + offset, 0.3], [0.3, 0.5 - offset]]), first, second
+        )
+        report = incompatibility_report(silent)
+        assert report.classification is ContextClass.FREE_ZERO_INFO
+        assert report.ratio is None
+        with pytest.raises(ZeroInformationError):
+            leakage_ratio(silent)

@@ -1,4 +1,5 @@
-"""Property tests of the (p, T, q) kernel at the edges of the range.
+"""Property tests of the (p, T, q) kernel and the Bloch layer at the edges
+of the range.
 
 Contexts are drawn at d = 2..16 with near-pure states
 (1 - delta) |psi><psi| + delta I/d, delta <= 1e-6, and near-commuting pairs,
@@ -12,12 +13,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qincompat.bloch import (
+    basis_to_bloch_frame,
+    bloch_to_state,
+    build_generators,
+    state_to_bloch,
+)
 from qincompat.core import (
     Context,
     DensityMatrix,
     ObservableBasis,
     outcome_probabilities,
     random_observable_basis,
+    transition_matrix,
 )
 from qincompat.errors import ZeroInformationError
 from qincompat.measures import (
@@ -111,3 +119,50 @@ def test_ledger_balances(ctx):
     # three rounded fields and four rounded sums, each of a number below
     # 2 ln d and so off by at most 2 u ln d
     assert abs(gap) <= 14 * math.log(ctx.dim) * U
+
+
+def trace_component_error(d: int) -> float:
+    # Tr(A G_i) with ||A||_F <= 1 and ||G_i||_F = sqrt(2) is a d^2-term sum
+    # of complex products, so it is off by at most (d^2 + 4) u sqrt(2)
+    return (d**2 + 4) * math.sqrt(2) * U
+
+
+@PROPERTY_SETTINGS
+@given(contexts())
+def test_bloch_round_trip_and_frame_identity(ctx):
+    d = ctx.dim
+    gens = build_generators(d)
+
+    back = bloch_to_state(state_to_bloch(ctx.state, gens), gens)
+    # the rebuilt entry (a, b) is (delta_ab + (d/2) sum_i Tr(rho G_i) G_i[a, b]) / d,
+    # and sum_i |G_i[a, b]| <= 2 d, so the trace errors move it by at most
+    # d * trace_component_error plus as much again for the d^2-term sum over i
+    entry_error = 2 * d * trace_component_error(d) + 4 * U
+    # DensityMatrix may clip an eigenvalue pushed below zero by that error (at
+    # most d * entry_error in spectral norm), renormalize the spectrum (the same
+    # again) and rebuild through eigh (backward error within d^2 u)
+    slack = (2 * d + 1) * entry_error + d**2 * U
+    assert np.max(np.abs(back.entries - ctx.state.entries)) <= slack
+
+    xs = np.stack([x.r for x in basis_to_bloch_frame(ctx.first, gens)])
+    ys = np.stack([y.r for y in basis_to_bloch_frame(ctx.second, gens)])
+    trans = transition_matrix(ctx.first, ctx.second)
+    # for columns with ||x||^2 = 1 + eta the exact dot is
+    # (d/(d-1)) (T_jk - ||x_j||^2 ||y_k||^2 / d), so the bases' normalization
+    # defect eta enters as (2 eta + eta^2) / (d - 1)
+    eta = max(
+        float(np.max(np.abs(np.sum(np.abs(b.vectors) ** 2, axis=0) - 1.0)))
+        for b in (ctx.first, ctx.second)
+    )
+    # each frame component is a scaled trace off by trace_component_error;
+    # frame vectors are unit vectors, so the (d^2 - 1)-term dot gathers at most
+    # 2 sqrt(d^2 - 1) of those plus d^2 u of summation, and T_jk (off by 4 d u)
+    # enters with a factor d / (d - 1) <= 2
+    slack = (
+        2 * math.sqrt(d**2 - 1) * trace_component_error(d)
+        + d**2 * U
+        + 8 * d * U
+        + (2 * eta + eta**2) / (d - 1)
+    )
+    # x_j . y_k = (d T_jk - 1) / (d - 1)
+    assert np.max(np.abs(xs @ ys.T - (d * trans - 1) / (d - 1))) <= slack
