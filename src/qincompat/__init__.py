@@ -57,7 +57,6 @@ from .mubsearch import (
     SearchResult,
     maximize_incompatibility,
     mub_certificate,
-    parameterize_basis,
 )
 from .protocol import (
     LedgerEntry,

@@ -18,18 +18,15 @@ import numpy as np
 from .core import (
     DensityMatrix,
     ObservableBasis,
+    _require_same_dim,
     binary_entropy,
     shannon_entropy,
 )
-from .errors import (
-    DimensionMismatchError,
-    InvariantViolationError,
-    ZeroInformationError,
-)
+from .errors import InvariantViolationError, ZeroInformationError
+from .measures import ZERO_INFO_NORM_TOL
 
 BALL_TOL = 1e-10
 UNIT_NORM_TOL = 1e-10
-ZERO_DENOMINATOR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -164,7 +161,7 @@ def wedge(u: BlochVector, v: BlochVector, gens: GeneratorSet) -> BlochVector:
     structure-constant form without building f. For d = 2 this is the
     ordinary cross product.
     """
-    _check_dims(u.dim, v.dim, gens.dim)
+    _require_same_dim(u.dim, v.dim, gens.dim)
     big_u, big_v = _operator(u, gens), _operator(v, gens)
     comm = big_u @ big_v - big_v @ big_u
     return BlochVector(gens.dim, np.real(_components(comm, gens) / 4j))
@@ -179,7 +176,7 @@ def star(u: BlochVector, v: BlochVector, gens: GeneratorSet) -> BlochVector:
     identity kills the star term, so the product is defined as the zero
     vector there; this keeps the identity valid at all d.
     """
-    _check_dims(u.dim, v.dim, gens.dim)
+    _require_same_dim(u.dim, v.dim, gens.dim)
     d = gens.dim
     if d == 2:
         return BlochVector(2, np.zeros(3))
@@ -191,7 +188,7 @@ def star(u: BlochVector, v: BlochVector, gens: GeneratorSet) -> BlochVector:
 
 def state_to_bloch(rho: DensityMatrix, gens: GeneratorSet) -> BlochVector:
     """Components r_i = (d / 2 C_d) Tr(rho G_i)."""
-    _check_dims(rho.dim, gens.dim)
+    _require_same_dim(rho.dim, gens.dim)
     scale = gens.dim / (2.0 * gens.c_d)
     comps = scale * np.real(np.einsum("ab,iba->i", rho.entries, gens.generators))
     return BlochVector(gens.dim, comps)
@@ -203,7 +200,7 @@ def bloch_to_state(r: BlochVector, gens: GeneratorSet) -> DensityMatrix:
     Ball membership alone is not enough for d > 2: the reconstructed matrix
     must pass the positivity validation of DensityMatrix.
     """
-    _check_dims(r.dim, gens.dim)
+    _require_same_dim(r.dim, gens.dim)
     d = gens.dim
     mat = (np.eye(d, dtype=complex) + gens.c_d * _operator(r, gens)) / d
     return DensityMatrix(mat)
@@ -214,7 +211,7 @@ def basis_to_bloch_frame(basis: ObservableBasis, gens: GeneratorSet) -> list[Blo
 
     They sum to zero and satisfy x_i . x_j = (d delta_ij - 1)/(d - 1).
     """
-    _check_dims(basis.dim, gens.dim)
+    _require_same_dim(basis.dim, gens.dim)
     scale = gens.dim / (2.0 * gens.c_d)
     cols = basis.vectors
     comps = scale * np.real(
@@ -236,7 +233,7 @@ def geometric_maps(
     second: each projects onto the frame directions and contracts.
     """
     d = r.dim
-    _check_dims(d, *[x.dim for x in xframe], *[y.dim for y in yframe])
+    _require_same_dim(d, *[x.dim for x in xframe], *[y.dim for y in yframe])
     xs = _frame_array(xframe)
     ys = _frame_array(yframe)
     u = (d - 1) / d * (xs.T @ (xs @ r.r))
@@ -266,10 +263,11 @@ def geometric_context_incompatibility(
 def geometric_leakage_ratio(
     r: BlochVector, xframe: list[BlochVector], yframe: list[BlochVector]
 ) -> float:
-    """Leakage ratio 1 - |v|^2 / |u|^2 of the contracted images."""
+    """Leakage ratio 1 - |v|^2 / |u|^2 of the contracted images; undefined (raises)
+    when sqrt((d-1)/d) |u| = ||p - 1/d|| <= 1e-10, the state-space rule."""
     u, v = geometric_maps(r, xframe, yframe)
     denom = float(u.r @ u.r)
-    if denom <= ZERO_DENOMINATOR_TOL:
+    if math.sqrt((u.dim - 1) / u.dim * denom) <= ZERO_INFO_NORM_TOL:
         raise ZeroInformationError(
             "first-measured image sits at the ball center; ratio undefined"
         )
@@ -281,7 +279,7 @@ def geometric_measurement_incompatibility(
 ) -> float:
     """1 - ((d-1)/d^2) sum_jk (x_j . y_k)^2."""
     d = xframe[0].dim
-    _check_dims(*[x.dim for x in xframe], *[y.dim for y in yframe])
+    _require_same_dim(*[x.dim for x in xframe], *[y.dim for y in yframe])
     dots = _frame_array(xframe) @ _frame_array(yframe).T
     return 1.0 - (d - 1) / d**2 * float(np.sum(dots**2))
 
@@ -311,7 +309,3 @@ def qubit_measures(
     i_c = binary_entropy((1.0 + xy * xr) / 2.0) - binary_entropy((1.0 + xr) / 2.0)
     return i_c, 1.0 - xy**2
 
-
-def _check_dims(*dims: int) -> None:
-    if len(set(dims)) != 1:
-        raise DimensionMismatchError(f"dimension mismatch: {set(dims)}")

@@ -40,7 +40,7 @@ EXIT_PROTOCOL = 5
 EXIT_SEARCH = 6
 EXIT_GEOMETRY = 7
 
-# top of the documented range; the search's generator set grows as d^4
+# top of the documented range, d = 2..16
 MAX_MUB_DIM = 16
 
 SEED_ENV_VAR = "QINCOMPAT_SEED"

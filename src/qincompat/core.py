@@ -102,9 +102,9 @@ class ObservableBasis:
     ``vectors`` holds the eigenvectors as the columns of a d x d matrix,
     validated to be finite and unitary (Gram matrix within 1e-10 of the
     identity). Eigenvalues must be finite and distinct.
-    Eigenvalues default to 1..d. They never enter the incompatibility
-    measures, which depend on the eigenprojectors only, but they do weight
-    the observable matrix used by the commutation classifier.
+    Eigenvalues default to 1..d. They enter nothing but ``matrix()``: the
+    incompatibility measures and the free-context classifier depend on the
+    eigenprojectors only.
     """
 
     vectors: np.ndarray

@@ -26,7 +26,6 @@ from .core import (
     ObservableBasis,
     _require_same_dim,
     dephase,
-    hs_norm_sq,
     outcome_probabilities,
     relative_entropy,
     shannon_entropy,
@@ -80,9 +79,20 @@ def _distributions(ctx: Context) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _overlap_form(trans: np.ndarray) -> float:
-    """Measurement incompatibility (d - sum T_jk^2) / (d - 1) of a transition matrix."""
+    """Measurement incompatibility (d - sum T_jk^2) / (d - 1) of a transition
+    matrix, clamped to [0, 1] against rounding at either end."""
     d = trans.shape[0]
-    return (d - float(np.sum(trans * trans))) / (d - 1)
+    # the method form skips np.sum's dispatch: the search calls this per trial step
+    value = (d - float((trans * trans).sum())) / (d - 1)
+    return min(max(value, 0.0), 1.0)
+
+
+def _commutator_norm(trans: np.ndarray) -> float:
+    """sqrt(sum_jk ||[P_j, Q_k]||^2) = sqrt(2 sum_j sum_{k != l} T_jk T_jl), the
+    sum over l != k taken as T (1 - I) with 1 the all-ones matrix: unlike 1 - T_jk
+    or d - sum T^2, it leaves no ~1e-14 squared rounding on commuting pairs."""
+    others = trans @ (1.0 - np.eye(trans.shape[0]))
+    return math.sqrt(2.0 * float(np.sum(trans * others)))
 
 
 def _spread_sq(p: np.ndarray) -> float:
@@ -157,7 +167,8 @@ def eigenstate_ratio(j: int, first: ObservableBasis, second: ObservableBasis) ->
 def measurement_incompatibility(first: ObservableBasis, second: ObservableBasis) -> float:
     """State-independent incompatibility of an observable pair, in [0, 1].
 
-    The squared-overlap form (d - sum_jk T_jk^2) / (d - 1). It equals the
+    The squared-overlap form (d - sum_jk T_jk^2) / (d - 1), clamped to
+    [0, 1] so rounding never leaves the documented range. It equals the
     average of the per-eigenstate leakage ratios and the projector-commutator
     form sum_jk ||[P_j, Q_k]||^2 / (2(d - 1)). Zero only for commuting pairs,
     one only for mutually unbiased eigenbases; symmetric under swapping the
@@ -192,21 +203,21 @@ def algebraic_incompatibility(first: ObservableBasis, second: ObservableBasis) -
 
 
 def classify_context(ctx: Context) -> ContextClass:
-    """Sort a context into its free class, or RESOURCEFUL.
+    """Sort a context into its free class, or RESOURCEFUL, from (p, T) alone.
 
-    Commutation is decided on the eigenvalue-weighted observable matrices
-    at Hilbert-Schmidt norm 1e-10 and is checked first; a context that is
-    free both ways reports FREE_COMMUTING. Zero information means
-    ||p - 1/d|| <= 1e-10, which is the distance of the dephased state from
-    the maximally mixed one.
+    Commutation means the eigenprojectors commute: the projector-commutator
+    norm sqrt(sum_jk ||[P_j, Q_k]||^2), read off T, is at most 1e-10. It is
+    checked first; a context that is free both ways reports FREE_COMMUTING.
+    Zero information means ||p - 1/d|| <= 1e-10, which is the distance of
+    the dephased state from the maximally mixed one. Eigenvalues play no
+    part in either test.
     """
-    return _classify(ctx, _distributions(ctx)[0])
+    p, trans, _ = _distributions(ctx)
+    return _classify(p, trans)
 
 
-def _classify(ctx: Context, p: np.ndarray) -> ContextClass:
-    x_mat = ctx.first.matrix()
-    y_mat = ctx.second.matrix()
-    if math.sqrt(hs_norm_sq(x_mat @ y_mat - y_mat @ x_mat)) <= COMMUTATION_TOL:
+def _classify(p: np.ndarray, trans: np.ndarray) -> ContextClass:
+    if _commutator_norm(trans) <= COMMUTATION_TOL:
         return ContextClass.FREE_COMMUTING
     if math.sqrt(_spread_sq(p)) <= ZERO_INFO_NORM_TOL:
         return ContextClass.FREE_ZERO_INFO
@@ -268,8 +279,10 @@ def validate_free_operation(
     and trace preservation vec(I)^T S = vec(I)^T (entrywise to 1e-10), then
     commutation with the first dephasing map on every matrix unit before the
     sequential one (Hilbert-Schmidt gap 1e-9 per unit). Raises
-    ChannelValidationError naming the first violated condition.
+    DimensionMismatchError for bases of two dimensions, before any of these,
+    and ChannelValidationError naming the first violated condition.
     """
+    _require_same_dim(first.dim, second.dim)
     d = first.dim
     if any(np.shape(k) != (d, d) for k in kraus):
         raise ChannelValidationError("Kraus operators have the wrong shape")
@@ -325,5 +338,5 @@ def incompatibility_report(ctx: Context) -> IncompatibilityReport:
         i_final=i_final,
         ratio=ratio,
         m_measurement=_overlap_form(trans),
-        classification=_classify(ctx, p),
+        classification=_classify(p, trans),
     )

@@ -7,8 +7,8 @@ a MUB search. The ascent is Riemannian steepest ascent on U(d) (Abrudan,
 Eriksson & Koivunen, IEEE Trans. Signal Process. 56(3):1134, 2008): the
 objective's analytic gradient gives a skew-Hermitian direction, the
 candidate moves along the geodesic exp(mu G) U with an Armijo backtracking
-line search, and seeded random restarts start from exponential coordinates
-over the SU(d) generators.
+line search, and seeded random restarts start from Haar-random bases
+(``random_observable_basis``).
 """
 
 from __future__ import annotations
@@ -17,11 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import GeneratorSet, build_generators
-from .core import ObservableBasis, _require_same_dim, transition_matrix
+from .core import (
+    ObservableBasis,
+    _require_same_dim,
+    random_observable_basis,
+    transition_matrix,
+)
 from .measures import _overlap_form, measurement_incompatibility
 
 STEP_FLOOR = 1e-12
+# largest geodesic step tried; an accepted step doubles up to it
+STEP_INIT = 0.5
+# stall tolerance on per-iteration gains, and the skip margin below M = 1
+OBJECTIVE_TOL = 1e-12
 STALL_ITERATIONS = 10
 # fraction of the slope ||G||_F^2 that an accepted step must realise
 ARMIJO = 0.5
@@ -31,16 +39,14 @@ ARMIJO = 0.5
 class SearchConfig:
     """Knobs of the incompatibility ascent.
 
-    ``tol_obj`` is the stall tolerance on objective improvements;
-    ``tol_mub`` the unbiasedness certificate tolerance, kept separate
-    because certifying overlaps is much more demanding than stalling.
+    ``tol_mub`` is the unbiasedness certificate tolerance, kept apart from
+    the stall tolerance ``OBJECTIVE_TOL`` because certifying overlaps is
+    much more demanding than stalling.
     """
 
     dim: int
     restarts: int = 20
     max_iters: int = 300
-    step_init: float = 0.5
-    tol_obj: float = 1e-12
     tol_mub: float = 1e-8
     seed: int = 0
 
@@ -69,23 +75,6 @@ class SearchResult:
     certified_mub: bool
     trajectory: tuple[tuple[int, float], ...]
     restarts_used: int
-
-
-def parameterize_basis(coeffs: np.ndarray, gens: GeneratorSet) -> ObservableBasis:
-    """Basis whose eigenvectors are the columns of exp(i sum a_k G_k).
-
-    The exponential is taken through the eigendecomposition of the
-    Hermitian generator combination, so the columns are orthonormal to
-    machine precision. Zero coefficients give the computational basis.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    n = gens.dim * gens.dim - 1
-    if coeffs.shape != (n,):
-        raise ValueError(f"expected {n} coefficients, got shape {coeffs.shape}")
-    hermitian = np.tensordot(coeffs, gens.generators, axes=1)
-    vals, vecs = np.linalg.eigh(hermitian)
-    unitary = (vecs * np.exp(1j * vals)) @ vecs.conj().T
-    return ObservableBasis(unitary)
 
 
 def mub_certificate(
@@ -124,15 +113,16 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
     diagonalizes iG once. Backtracking trials move along the geodesic
     exp(mu G) U, halving mu down to a floor of 1e-12 until the Armijo
     condition M(mu) - M >= mu ||G||_F^2 / 2 holds; the accepted step is
-    carried over (doubled, capped at ``step_init``) to seed the next search.
-    Trial points are scored by the same squared-overlap form as
+    carried over (doubled, capped at ``STEP_INIT`` = 0.5) to seed the next
+    search. Trial points are scored by the same squared-overlap form as
     ``measurement_incompatibility``, so an accepted trial keeps its score;
     it is rebuilt as an ``ObservableBasis``, which checks its Gram matrix.
     A restart triggers after ten consecutive iterations with improvements
-    below ``tol_obj``. The first start is the computational basis; subsequent
-    starts are ``parameterize_basis`` of coefficients drawn uniformly from
-    [-pi, pi]. Runs are deterministic for a given seed, and remaining
-    restarts are skipped once the objective is within ``tol_obj`` of its
+    below ``OBJECTIVE_TOL`` = 1e-12. The first start is the computational
+    basis; restart k >= 1 starts from the k-th Haar-random basis
+    ``random_observable_basis(d, rng)`` of one ``default_rng(seed)``
+    stream. Runs are deterministic for a given seed, and remaining restarts
+    are skipped once the objective is within ``OBJECTIVE_TOL`` of its
     maximum. When the fixed basis is the computational one, the first start
     is a critical point (G = 0) and that restart stalls at once. The
     returned basis is the best across restarts, ties resolved toward the
@@ -140,7 +130,6 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
     """
     _require_same_dim(fixed.dim, config.dim)
     d = config.dim
-    gens = build_generators(d)
     rng = np.random.default_rng(config.seed)
     fixed_dagger = fixed.vectors.conj().T
 
@@ -150,17 +139,17 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
     restarts_used = 0
 
     for restart in range(config.restarts):
-        if best_value >= 1.0 - config.tol_obj:
+        if best_value >= 1.0 - OBJECTIVE_TOL:
             break
         restarts_used += 1
         if restart == 0:
             basis = ObservableBasis.computational(d)
         else:
-            basis = parameterize_basis(rng.uniform(-np.pi, np.pi, d * d - 1), gens)
+            basis = random_observable_basis(d, rng)
         current = measurement_incompatibility(fixed, basis)
         trajectory.append((0, current))
         stall = 0
-        step_seed = config.step_init
+        step_seed = STEP_INIT
 
         for iteration in range(1, config.max_iters + 1):
             unitary = basis.vectors
@@ -178,11 +167,11 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
                 if gain > 0.0 and gain >= ARMIJO * step * slope:
                     improved = gain
                     basis, current = ObservableBasis(trial), value
-                    step_seed = min(2.0 * step, config.step_init)
+                    step_seed = min(2.0 * step, STEP_INIT)
                     break
                 step /= 2.0
             trajectory.append((iteration, current))
-            stall = stall + 1 if improved < config.tol_obj else 0
+            stall = stall + 1 if improved < OBJECTIVE_TOL else 0
             if stall >= STALL_ITERATIONS:
                 break
 

@@ -1,11 +1,11 @@
 """Operator-level reference routes for the closed-form measures.
 
-The library computes every context measure from the distributions (p, T, q),
-and checks free operations on d^2 x d^2 transfer matrices. The routes here
-build the operators instead: projector commutators, dephased density
-matrices, the d^2 x d^2 controlled-shift dilation, and Kraus operators
-applied to each matrix unit. The tests compare the library against them,
-each to the tolerance named below.
+The library computes every context measure, and the free-context class,
+from the distributions (p, T, q), and checks free operations on d^2 x d^2
+transfer matrices. The routes here build the operators instead: projector
+commutators, dephased density matrices, the d^2 x d^2 controlled-shift
+dilation, and Kraus operators applied to each matrix unit. The tests
+compare the library against them, each to the tolerance named below.
 """
 
 import math
@@ -63,11 +63,15 @@ def operator_leakage(ctx: Context) -> tuple[float, float]:
     )
 
 
+def projector_commutator_norm(first: ObservableBasis, second: ObservableBasis) -> float:
+    """sqrt(sum_jk ||[P_j, Q_k]||^2) from the eigenprojectors."""
+    return math.sqrt(2 * (first.dim - 1) * commutator_incompatibility(first, second))
+
+
 def operator_classification(ctx: Context) -> ContextClass:
-    """The free-context classifier with zero information decided on ||sigma - I/d||."""
-    x_mat = ctx.first.matrix()
-    y_mat = ctx.second.matrix()
-    if math.sqrt(hs_norm_sq(x_mat @ y_mat - y_mat @ x_mat)) <= COMMUTATION_TOL:
+    """The free-context classifier on operators: commutation decided on the
+    projector commutators, zero information on ||sigma - I/d||."""
+    if projector_commutator_norm(ctx.first, ctx.second) <= COMMUTATION_TOL:
         return ContextClass.FREE_COMMUTING
     _, spread = operator_leakage(ctx)
     if math.sqrt(spread) <= ZERO_INFO_NORM_TOL:

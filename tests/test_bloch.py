@@ -23,6 +23,7 @@ from qincompat.bloch import (
 )
 from qincompat.cli import main
 from qincompat.core import (
+    Context,
     DensityMatrix,
     ObservableBasis,
     dephase,
@@ -30,8 +31,13 @@ from qincompat.core import (
     random_density_matrix,
     random_observable_basis,
 )
-from qincompat.errors import InvariantViolationError, ZeroInformationError
+from qincompat.errors import (
+    DimensionMismatchError,
+    InvariantViolationError,
+    ZeroInformationError,
+)
 from qincompat.measures import (
+    ZERO_INFO_NORM_TOL,
     context_incompatibility,
     leakage_ratio,
     measurement_incompatibility,
@@ -388,6 +394,50 @@ class TestGeometricMeasures:
         yframe = basis_to_bloch_frame(qubit_basis(0.8), gens)
         with pytest.raises(ZeroInformationError):
             geometric_leakage_ratio(BlochVector(2, np.zeros(3)), xframe, yframe)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 16])
+    def test_image_norm_is_the_dephased_spread(self, d):
+        # |u|^2 = d/(d-1) ||p - 1/d||^2, which puts the geometric ratio under
+        # the zero-information rule of the state-space forms
+        rng = np.random.default_rng(90 + d)
+        gens = build_generators(d)
+        for _ in range(5):
+            ctx = random_context(d, rng)
+            r, xframe, yframe = frames_of(ctx, gens)
+            u, _ = geometric_maps(r, xframe, yframe)
+            p = outcome_probabilities(ctx.state, ctx.first)
+            spread = math.sqrt(float(np.sum((p - 1.0 / d) ** 2)))
+            assert math.sqrt((d - 1) / d) * u.norm() == pytest.approx(spread, rel=1e-12)
+
+    def test_zero_information_rule_matches_the_state_space_ratio(self):
+        gens = build_generators(2)
+        first, second = ObservableBasis.computational(2), ObservableBasis.fourier(2)
+        # ||p - 1/d|| = 1.4e-8: informative for both routes
+        informative = Context(
+            DensityMatrix([[0.5 + 1e-8, 0.3], [0.3, 0.5 - 1e-8]]), first, second
+        )
+        r, xframe, yframe = frames_of(informative, gens)
+        assert geometric_leakage_ratio(r, xframe, yframe) == pytest.approx(
+            leakage_ratio(informative), abs=1e-6
+        )
+        assert leakage_ratio(informative) == pytest.approx(1.0, abs=1e-6)
+        # ||p - 1/d|| just below the rule: both routes refuse
+        offset = 0.5 * ZERO_INFO_NORM_TOL / math.sqrt(2)
+        silent = Context(
+            DensityMatrix([[0.5 + offset, 0.3], [0.3, 0.5 - offset]]), first, second
+        )
+        r, xframe, yframe = frames_of(silent, gens)
+        with pytest.raises(ZeroInformationError):
+            geometric_leakage_ratio(r, xframe, yframe)
+        with pytest.raises(ZeroInformationError):
+            leakage_ratio(silent)
+
+    def test_dimension_mismatch(self):
+        gens = build_generators(3)
+        with pytest.raises(DimensionMismatchError):
+            state_to_bloch(DensityMatrix.maximally_mixed(2), gens)
+        with pytest.raises(DimensionMismatchError):
+            basis_to_bloch_frame(ObservableBasis.computational(2), gens)
 
 
 class TestQubitMeasures:

@@ -194,6 +194,22 @@ class TestMeasurementIncompatibility:
                 ObservableBasis.computational(2), qubit_basis(theta)
             ) == pytest.approx(math.sin(theta) ** 2, abs=1e-12)
 
+    def test_rounding_never_leaves_the_unit_interval(self):
+        # unclamped, about a third of these commuting pairs round below zero
+        # and the d = 2 Fourier pair rounds to 1 + 4e-16
+        rng = np.random.default_rng(110)
+        for d in (2, 3, 4):
+            for _ in range(30):
+                ctx = commuting_context(d, rng)
+                assert measurement_incompatibility(ctx.first, ctx.second) >= 0.0
+                assert incompatibility_report(ctx).m_measurement >= 0.0
+        for d in range(2, 17):
+            first, second = ObservableBasis.computational(d), ObservableBasis.fourier(d)
+            assert measurement_incompatibility(first, second) <= 1.0
+        assert measurement_incompatibility(
+            ObservableBasis.computational(2), ObservableBasis.fourier(2)
+        ) == 1.0
+
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(111)
         for d in (2, 3, 4, 5):
@@ -202,7 +218,7 @@ class TestMeasurementIncompatibility:
             forward = measurement_incompatibility(first, second)
             backward = measurement_incompatibility(second, first)
             assert forward == pytest.approx(backward, abs=1e-12)
-            assert 0.0 <= forward <= 1.0 + 1e-12
+            assert 0.0 <= forward <= 1.0
 
     def test_unity_iff_unbiased(self):
         rng = np.random.default_rng(112)
@@ -307,6 +323,32 @@ class TestClassifyContext:
                 free = classify_context(ctx) is not ContextClass.RESOURCEFUL
                 assert free == (context_incompatibility(ctx) <= 1e-9)
 
+    def test_near_degenerate_unbiased_pair_is_resourceful(self):
+        # eigenvalue-weighted matrices with spectrum {1, 1 + 2e-9} commute to
+        # ~1e-18, but the eigenprojectors are mutually unbiased
+        spectrum = [1.0, 1.0 + 2e-9]
+        first = ObservableBasis(np.eye(2), spectrum)
+        second = ObservableBasis(ObservableBasis.fourier(2).vectors, spectrum)
+        ctx = Context(DensityMatrix.pure(np.eye(2)[0]), first, second)
+        assert classify_context(ctx) is ContextClass.RESOURCEFUL
+        assert context_incompatibility(ctx) == pytest.approx(math.log(2), abs=1e-12)
+        report = incompatibility_report(ctx)
+        assert report.classification is ContextClass.RESOURCEFUL
+        assert report.m_measurement == 1.0
+
+    def test_tiny_rotation_with_wide_spectrum_is_commuting(self):
+        # a 1e-13 rotation moves the projectors by ~1e-13 while the spectrum
+        # {0, 1e6} would blow the matrix commutator up to ~1e-7
+        rotation = qubit_basis(2e-13).vectors
+        first = ObservableBasis(np.eye(2), [0.0, 1e6])
+        second = ObservableBasis(rotation, [0.0, 1e6])
+        ctx = Context(DensityMatrix.pure(np.eye(2)[0]), first, second)
+        assert classify_context(ctx) is ContextClass.FREE_COMMUTING
+        assert context_incompatibility(ctx) <= 1e-9
+        report = incompatibility_report(ctx)
+        assert report.classification is ContextClass.FREE_COMMUTING
+        assert report.m_measurement == 0.0
+
 
 class TestMonotonicity:
     def test_identity_channel_is_equality(self):
@@ -397,6 +439,12 @@ class TestMonotonicity:
         with pytest.raises(ChannelValidationError, match="wrong shape"):
             validate_free_operation(kraus, first, second)
 
+    def test_bases_of_different_dimension_are_rejected_first(self):
+        first, second = ObservableBasis.computational(2), ObservableBasis.computational(3)
+        for kraus in ([np.eye(2, dtype=complex)], [np.eye(3, dtype=complex)], []):
+            with pytest.raises(DimensionMismatchError):
+                validate_free_operation(kraus, first, second)
+
 
 class TestReport:
     def test_fields_cohere(self):
@@ -411,7 +459,7 @@ class TestReport:
             assert 0.0 <= report.i_final <= math.log(3) + 1e-10
             assert report.ratio is not None
             assert -1e-9 <= report.ratio <= 1.0 + 1e-9
-            assert 0.0 <= report.m_measurement <= 1.0 + 1e-10
+            assert 0.0 <= report.m_measurement <= 1.0
             assert report.classification is ContextClass.RESOURCEFUL
 
     def test_ratio_is_none_without_information(self):

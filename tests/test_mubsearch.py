@@ -1,50 +1,21 @@
-"""Unbiased-partner search: parameterization, certificate, optimizer."""
+"""Unbiased-partner search: certificate, optimizer, seeded restarts."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from qincompat.bloch import build_generators
-from qincompat.core import ObservableBasis, random_observable_basis, transition_matrix
+from qincompat.core import ObservableBasis, random_observable_basis
 from qincompat.measures import measurement_incompatibility
 from qincompat.mubsearch import (
     SearchConfig,
     _riemannian_gradient,
     maximize_incompatibility,
     mub_certificate,
-    parameterize_basis,
 )
 
 from _util import qubit_basis
-
-
-class TestParameterizeBasis:
-    def test_zero_coefficients_give_computational(self):
-        gens = build_generators(3)
-        basis = parameterize_basis(np.zeros(8), gens)
-        np.testing.assert_allclose(basis.vectors, np.eye(3), atol=1e-14)
-
-    def test_qubit_quarter_turn_lands_on_unbiased_basis(self):
-        gens = build_generators(2)
-        basis = parameterize_basis(np.array([math.pi / 4, 0.0, 0.0]), gens)
-        fixed = ObservableBasis.computational(2)
-        trans = transition_matrix(fixed, basis)
-        np.testing.assert_allclose(trans, np.full((2, 2), 0.5), atol=1e-12)
-        assert measurement_incompatibility(fixed, basis) == pytest.approx(1.0, abs=1e-12)
-
-    def test_random_coefficients_stay_unitary(self):
-        rng = np.random.default_rng(301)
-        for d in (2, 3, 4):
-            gens = build_generators(d)
-            basis = parameterize_basis(rng.uniform(-np.pi, np.pi, d * d - 1), gens)
-            gram = basis.vectors.conj().T @ basis.vectors
-            np.testing.assert_allclose(gram, np.eye(d), atol=1e-12)
-
-    def test_rejects_wrong_length(self):
-        gens = build_generators(2)
-        with pytest.raises(ValueError):
-            parameterize_basis(np.zeros(4), gens)
 
 
 class TestMubCertificate:
@@ -179,18 +150,32 @@ class TestRiemannianAscent:
             assert slope == pytest.approx(squared_norm, rel=1e-6)
 
     def test_restarts_start_from_the_seeded_draws(self):
-        # restart k >= 1 starts at the k-th uniform draw of default_rng(seed)
+        # restart k >= 1 starts at the k-th Haar draw of default_rng(seed)
         d, seed = 4, 17
         config = SearchConfig(dim=d, restarts=4, max_iters=5, seed=seed)
         fixed = ObservableBasis.computational(d)
         result = maximize_incompatibility(fixed, config)
         starts = [value for iteration, value in result.trajectory if iteration == 0]
         assert len(starts) == result.restarts_used == 4
-        gens = build_generators(d)
         rng = np.random.default_rng(seed)
         for value in starts[1:]:
-            draw = rng.uniform(-np.pi, np.pi, d * d - 1)
-            assert value == measurement_incompatibility(fixed, parameterize_basis(draw, gens))
+            draw = random_observable_basis(d, rng)
+            assert value == measurement_incompatibility(fixed, draw)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_search_never_builds_the_generator_set(self, d, monkeypatch):
+        def refuse(dim):
+            raise AssertionError("the search must not build SU(d) generators")
+
+        # replace every binding of the name, so that a module holding its
+        # own reference from a from-import is caught too
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qincompat") and hasattr(module, "build_generators"):
+                monkeypatch.setattr(module, "build_generators", refuse)
+        config = SearchConfig(dim=d, restarts=3, max_iters=50, seed=d)
+        result = maximize_incompatibility(ObservableBasis.computational(d), config)
+        assert result.restarts_used >= 2
+        assert result.objective > 0.5
 
     @pytest.mark.parametrize(
         "d, restarts, max_iters",

@@ -12,12 +12,14 @@ from qincompat.core import (
     ObservableBasis,
     random_observable_basis,
     sequential_dephase,
+    transition_matrix,
 )
 from qincompat.errors import ChannelValidationError, ZeroInformationError
 from qincompat.measures import (
     ZERO_INFO_NORM_TOL,
     ContextClass,
     _commutation_gaps,
+    _commutator_norm,
     _transfer_matrix,
     classify_context,
     context_incompatibility,
@@ -43,6 +45,7 @@ from _oracles import (
     matrix_unit_verdict,
     operator_classification,
     operator_leakage,
+    projector_commutator_norm,
 )
 from _util import (
     commuting_context,
@@ -55,6 +58,8 @@ from _util import (
 DIMS = [2, 3, 4, 8, 16]
 LEDGER_TOL = 1e-10
 LEDGER_FIELDS = ("i_initial", "i_final", "delta_apparatus", "mutual_info")
+COMMUTATOR_NORM_AGREEMENT = 1e-13
+ROTATION_ANGLES = [0.0] + [10.0**k for k in range(-14, 1, 2)]
 
 
 def contexts(d: int) -> list[Context]:
@@ -118,6 +123,23 @@ def test_dilation_matches_closed_form_ledger(d):
             assert getattr(ledger, field) == pytest.approx(
                 getattr(entry, field), abs=LEDGER_TOL
             ), field
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_commutator_norm_from_t_matches_projector_commutators(d):
+    # second basis exp(i theta H) X: exactly commuting at theta = 0, then
+    # from below the 1e-10 classifier threshold up to a generic pair
+    rng = np.random.default_rng(700 + d)
+    first = random_observable_basis(d, rng)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    vals, vecs = np.linalg.eigh((g + g.conj().T) / 2.0)
+    for theta in ROTATION_ANGLES:
+        rotation = (vecs * np.exp(1j * theta * vals)) @ vecs.conj().T
+        second = ObservableBasis(rotation @ first.vectors)
+        from_t = _commutator_norm(transition_matrix(first, second))
+        from_projectors = projector_commutator_norm(first, second)
+        assert abs(from_t - from_projectors) <= COMMUTATOR_NORM_AGREEMENT
+    assert _commutator_norm(transition_matrix(first, first)) <= 1e-14
 
 
 @pytest.mark.parametrize("d", DIMS)

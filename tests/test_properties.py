@@ -3,8 +3,10 @@ of the range.
 
 Contexts are drawn at d = 2..16 with near-pure states
 (1 - delta) |psi><psi| + delta I/d, delta <= 1e-6, and near-commuting pairs,
-whose second basis is exp(i delta H) applied to the first. Each slack below
-is a forward rounding-error bound, with u the unit roundoff.
+whose second basis is exp(i delta H) applied to the first; spectra are drawn
+near-degenerate, down to just above the spacing that ``ObservableBasis``
+rejects. Each slack below is a forward rounding-error bound, with u the unit
+roundoff.
 """
 
 import math
@@ -20,6 +22,7 @@ from qincompat.bloch import (
     state_to_bloch,
 )
 from qincompat.core import (
+    EIGENVALUE_SPACING_TOL,
     Context,
     DensityMatrix,
     ObservableBasis,
@@ -29,6 +32,7 @@ from qincompat.core import (
 )
 from qincompat.errors import ZeroInformationError
 from qincompat.measures import (
+    classify_context,
     context_incompatibility,
     incompatibility_report,
     leakage_ratio,
@@ -60,6 +64,20 @@ def contexts(draw) -> Context:
     return Context(DensityMatrix(rho), first, second)
 
 
+@st.composite
+def near_degenerate_spectra(draw, d: int) -> np.ndarray:
+    """d eigenvalues around a scale in [1e-3, 1e6], shuffled, with every
+    spacing between 1.01 and 1000 times the smallest that ObservableBasis
+    accepts there."""
+    scale = 10.0 ** draw(st.floats(-3.0, 6.0))
+    factors = draw(st.lists(st.floats(1.01, 1e3), min_size=d - 1, max_size=d - 1))
+    # the largest eigenvalue stays below 1.02 * scale, so this clears
+    # EIGENVALUE_SPACING_TOL * max(1, |largest|) whenever a factor is >= 1.01
+    unit = EIGENVALUE_SPACING_TOL * max(1.0, 1.02 * scale)
+    values = scale + np.concatenate([[0.0], np.cumsum(np.array(factors) * unit)])
+    return values[np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(d)]
+
+
 def overlap_form_slack(d: int) -> float:
     # each T_jk = |<x_j|y_k>|^2 is off by at most ~4 d u (a d-term complex
     # inner product, then squared); sum T^2 gathers 2 d^2 such errors on
@@ -73,7 +91,7 @@ def test_measurement_incompatibility_is_bounded_and_symmetric(ctx):
     slack = overlap_form_slack(ctx.dim)
     forward = measurement_incompatibility(ctx.first, ctx.second)
     backward = measurement_incompatibility(ctx.second, ctx.first)
-    assert -slack <= forward <= 1.0 + slack
+    assert 0.0 <= forward <= 1.0
     # T(Y, X) is T(X, Y) transposed but rounded through a different product
     assert abs(forward - backward) <= 2 * slack
 
@@ -119,6 +137,20 @@ def test_ledger_balances(ctx):
     # three rounded fields and four rounded sums, each of a number below
     # 2 ln d and so off by at most 2 u ln d
     assert abs(gap) <= 14 * math.log(ctx.dim) * U
+
+
+@PROPERTY_SETTINGS
+@given(contexts(), st.data())
+def test_report_ignores_near_degenerate_spectra(ctx, data):
+    d = ctx.dim
+    relabeled = Context(
+        ctx.state,
+        ObservableBasis(ctx.first.vectors, data.draw(near_degenerate_spectra(d))),
+        ObservableBasis(ctx.second.vectors, data.draw(near_degenerate_spectra(d))),
+    )
+    # bit-identical: the class, like every measure, reads only p and T
+    assert incompatibility_report(relabeled) == incompatibility_report(ctx)
+    assert classify_context(relabeled) is classify_context(ctx)
 
 
 def trace_component_error(d: int) -> float:
