@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .core import (
     binary_entropy,
     shannon_entropy,
 )
-from .errors import InvariantViolationError, ZeroInformationError
+from .errors import DimensionMismatchError, InvariantViolationError, ZeroInformationError
 from .measures import ZERO_INFO_NORM_TOL
 
 BALL_TOL = 1e-10
@@ -36,39 +35,11 @@ class GeneratorSet:
     ``generators`` has shape (d^2-1, d, d); each matrix is traceless,
     Hermitian and normalized to Tr(G_i G_j) = 2 delta_ij. ``c_d`` is the
     radius normalization sqrt(d(d-1)/2).
-
-    ``f`` and ``dsym`` are the totally antisymmetric and totally symmetric
-    rank-3 structure tensors, f_ijk = Tr([G_i, G_j] G_k) / 4i and
-    dsym_ijk = Tr({G_i, G_j} G_k) / 4. No computation here reads them:
-    ``wedge`` and ``star`` work through commutators instead. Both tensors
-    are built together, dense, (d^2-1)^3 reals each, when either is first
-    read, and live as long as this set; they serve as reference values, and
-    at d = 16 they take seconds and about 1 GiB to build.
     """
 
     dim: int
     generators: np.ndarray
     c_d: float
-
-    @property
-    def f(self) -> np.ndarray:
-        return self._structure_tensors[0]
-
-    @property
-    def dsym(self) -> np.ndarray:
-        return self._structure_tensors[1]
-
-    @cached_property
-    def _structure_tensors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(f, dsym) from the trace formulas, both from one pass over
-        Tr(G_i G_j G_k)."""
-        gens = self.generators
-        pair = np.einsum("iab,jbc->ijac", gens, gens)
-        triple = np.einsum("ijab,kba->ijk", pair, gens)
-        del pair
-        f = np.real((triple - triple.transpose(1, 0, 2)) / 4j)
-        dsym = np.real((triple + triple.transpose(1, 0, 2)) / 4.0)
-        return _frozen(f), _frozen(dsym)
 
 
 @dataclass(frozen=True)
@@ -150,8 +121,9 @@ def _operator(u: BlochVector, gens: GeneratorSet) -> np.ndarray:
 
 
 def _components(mat: np.ndarray, gens: GeneratorSet) -> np.ndarray:
-    """Tr(G_i M) for every generator."""
-    return np.einsum("iab,ba->i", gens.generators, mat)
+    """Tr(G_i M) for every generator, along the last axis for a stack of
+    matrices."""
+    return np.einsum("iab,...ba->...i", gens.generators, mat)
 
 
 def wedge(u: BlochVector, v: BlochVector, gens: GeneratorSet) -> BlochVector:
@@ -190,8 +162,7 @@ def state_to_bloch(rho: DensityMatrix, gens: GeneratorSet) -> BlochVector:
     """Components r_i = (d / 2 C_d) Tr(rho G_i)."""
     _require_same_dim(rho.dim, gens.dim)
     scale = gens.dim / (2.0 * gens.c_d)
-    comps = scale * np.real(np.einsum("ab,iba->i", rho.entries, gens.generators))
-    return BlochVector(gens.dim, comps)
+    return BlochVector(gens.dim, scale * np.real(_components(rho.entries, gens)))
 
 
 def bloch_to_state(r: BlochVector, gens: GeneratorSet) -> DensityMatrix:
@@ -206,26 +177,32 @@ def bloch_to_state(r: BlochVector, gens: GeneratorSet) -> DensityMatrix:
     return DensityMatrix(mat)
 
 
-def basis_to_bloch_frame(basis: ObservableBasis, gens: GeneratorSet) -> list[BlochVector]:
-    """Frame vectors x_j of the eigenprojectors.
+def basis_to_bloch_frame(basis: ObservableBasis, gens: GeneratorSet) -> np.ndarray:
+    """Frame of the eigenprojectors: a read-only (d, d^2-1) array whose row j
+    is the Bloch vector x_j of the j-th projector.
 
-    They sum to zero and satisfy x_i . x_j = (d delta_ij - 1)/(d - 1).
+    The rows sum to zero and satisfy x_i . x_j = (d delta_ij - 1)/(d - 1).
     """
     _require_same_dim(basis.dim, gens.dim)
     scale = gens.dim / (2.0 * gens.c_d)
-    cols = basis.vectors
-    comps = scale * np.real(
-        np.einsum("aj,iab,bj->ji", cols.conj(), gens.generators, cols)
-    )
-    return [BlochVector(gens.dim, comps[j]) for j in range(gens.dim)]
+    return _frozen(scale * np.real(_components(basis.projectors(), gens)))
 
 
-def _frame_array(frame: list[BlochVector]) -> np.ndarray:
-    return np.stack([x.r for x in frame])
+def _frame(rows, d: int) -> np.ndarray:
+    """The rows of a dimension-d frame as a float (d, d^2-1) array; rejects
+    any other shape and non-finite entries."""
+    frame = np.asarray(rows, dtype=float)
+    if d < 2 or frame.shape != (d, d * d - 1):
+        raise DimensionMismatchError(
+            f"expected a frame of shape ({d}, {d * d - 1}), got {frame.shape}"
+        )
+    if not np.isfinite(frame).all():
+        raise InvariantViolationError("frame has non-finite entries")
+    return frame
 
 
 def geometric_maps(
-    r: BlochVector, xframe: list[BlochVector], yframe: list[BlochVector]
+    r: BlochVector, xframe: np.ndarray, yframe: np.ndarray
 ) -> tuple[BlochVector, BlochVector]:
     """Bloch-space action of the two dephasing maps.
 
@@ -233,9 +210,7 @@ def geometric_maps(
     second: each projects onto the frame directions and contracts.
     """
     d = r.dim
-    _require_same_dim(d, *[x.dim for x in xframe], *[y.dim for y in yframe])
-    xs = _frame_array(xframe)
-    ys = _frame_array(yframe)
+    xs, ys = _frame(xframe, d), _frame(yframe, d)
     u = (d - 1) / d * (xs.T @ (xs @ r.r))
     v = (d - 1) / d * (ys.T @ (ys @ u))
     return BlochVector(d, u), BlochVector(d, v)
@@ -247,21 +222,19 @@ def _frame_distribution(frame_rows: np.ndarray, vec: np.ndarray, d: int) -> np.n
 
 
 def geometric_context_incompatibility(
-    r: BlochVector, xframe: list[BlochVector], yframe: list[BlochVector]
+    r: BlochVector, xframe: np.ndarray, yframe: np.ndarray
 ) -> float:
     """Entropy gap between the two measured distributions, straight from
     the frame geometry."""
     d = r.dim
-    xs = _frame_array(xframe)
-    ys = _frame_array(yframe)
-    u = (d - 1) / d * (xs.T @ (xs @ r.r))
-    p_first = _frame_distribution(xs, r.r, d)
-    p_second = _frame_distribution(ys, u, d)
+    u, _ = geometric_maps(r, xframe, yframe)
+    p_first = _frame_distribution(_frame(xframe, d), r.r, d)
+    p_second = _frame_distribution(_frame(yframe, d), u.r, d)
     return shannon_entropy(p_second) - shannon_entropy(p_first)
 
 
 def geometric_leakage_ratio(
-    r: BlochVector, xframe: list[BlochVector], yframe: list[BlochVector]
+    r: BlochVector, xframe: np.ndarray, yframe: np.ndarray
 ) -> float:
     """Leakage ratio 1 - |v|^2 / |u|^2 of the contracted images; undefined (raises)
     when sqrt((d-1)/d) |u| = ||p - 1/d|| <= 1e-10, the state-space rule."""
@@ -274,14 +247,13 @@ def geometric_leakage_ratio(
     return 1.0 - float(v.r @ v.r) / denom
 
 
-def geometric_measurement_incompatibility(
-    xframe: list[BlochVector], yframe: list[BlochVector]
-) -> float:
-    """1 - ((d-1)/d^2) sum_jk (x_j . y_k)^2."""
-    d = xframe[0].dim
-    _require_same_dim(*[x.dim for x in xframe], *[y.dim for y in yframe])
-    dots = _frame_array(xframe) @ _frame_array(yframe).T
-    return 1.0 - (d - 1) / d**2 * float(np.sum(dots**2))
+def geometric_measurement_incompatibility(xframe: np.ndarray, yframe: np.ndarray) -> float:
+    """1 - ((d-1)/d^2) sum_jk (x_j . y_k)^2, clamped to [0, 1] against
+    rounding at either end."""
+    d = len(xframe)
+    dots = _frame(xframe, d) @ _frame(yframe, d).T
+    value = 1.0 - (d - 1) / d**2 * float(np.sum(dots**2))
+    return min(max(value, 0.0), 1.0)
 
 
 def qubit_measures(

@@ -66,7 +66,7 @@ def load_context_document(path: str) -> Context:
     with open(path, encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
@@ -88,7 +88,10 @@ def load_context_document(path: str) -> Context:
     def eigenvalues(key: str):
         if key not in doc:
             return None
-        vals = np.asarray(doc[key], dtype=float)
+        try:
+            vals = np.asarray(doc[key], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DocumentError(f"{key} must list {dim} numbers") from exc
         if vals.shape != (dim,):
             raise DocumentError(f"{key} must list {dim} numbers")
         return vals
@@ -229,14 +232,12 @@ def cmd_bloch(args) -> int:
     try:
         gens = build_generators(ctx.dim)
         r = state_to_bloch(ctx.state, gens)
-        xframe = basis_to_bloch_frame(ctx.first, gens)
-        yframe = basis_to_bloch_frame(ctx.second, gens)
-        u, v = geometric_maps(r, xframe, yframe)
+        xs = basis_to_bloch_frame(ctx.first, gens)
+        ys = basis_to_bloch_frame(ctx.second, gens)
+        u, v = geometric_maps(r, xs, ys)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY
-    xs = np.stack([x.r for x in xframe])
-    ys = np.stack([y.r for y in yframe])
     payload = {
         "r": [_fixed(c) for c in r.r],
         "u": [_fixed(c) for c in u.r],
@@ -296,7 +297,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentError, FileNotFoundError, IsADirectoryError) as exc:
+    except (DocumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (InvariantViolationError, DimensionMismatchError) as exc:

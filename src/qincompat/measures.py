@@ -154,14 +154,15 @@ def eigenstate_ratio(j: int, first: ObservableBasis, second: ObservableBasis) ->
     ``first`` (zero-based index).
 
     Equals (d/(d-1)) times the linear entropy of the dephased projector,
-    which only needs one row of the transition matrix.
+    which only needs one row of the transition matrix; clamped to [0, 1]
+    against rounding at either end.
     """
     _require_same_dim(first.dim, second.dim)
     d = first.dim
     if not 0 <= j < d:
         raise IndexError(f"eigenstate index {j} out of range for dimension {d}")
     row = transition_matrix(first, second)[j]
-    return d / (d - 1) * (1.0 - float(row @ row))
+    return min(max(d / (d - 1) * (1.0 - float(row @ row)), 0.0), 1.0)
 
 
 def measurement_incompatibility(first: ObservableBasis, second: ObservableBasis) -> float:

@@ -4,14 +4,16 @@ The library computes every context measure, and the free-context class,
 from the distributions (p, T, q), and checks free operations on d^2 x d^2
 transfer matrices. The routes here build the operators instead: projector
 commutators, dephased density matrices, the d^2 x d^2 controlled-shift
-dilation, and Kraus operators applied to each matrix unit. The tests
-compare the library against them, each to the tolerance named below.
+dilation, Kraus operators applied to each matrix unit, and the dense SU(d)
+structure tensors behind the Bloch layer's wedge and star products. The
+tests compare the library against them, each to the tolerance named below.
 """
 
 import math
 
 import numpy as np
 
+from qincompat.bloch import GeneratorSet
 from qincompat.core import (
     Context,
     DensityMatrix,
@@ -180,3 +182,17 @@ def matrix_unit_verdict(
         if gap_seq > CHANNEL_COMMUTATION_TOL:
             return "channel does not commute with the sequential dephasing map"
     return None
+
+
+def structure_tensors(gens: GeneratorSet) -> tuple[np.ndarray, np.ndarray]:
+    """(f, dsym): the totally antisymmetric and totally symmetric rank-3
+    structure tensors f_ijk = Tr([G_i, G_j] G_k) / 4i and
+    dsym_ijk = Tr({G_i, G_j} G_k) / 4, both from one pass over
+    Tr(G_i G_j G_k). Dense, (d^2-1)^3 reals each: about 1 GiB at d = 16."""
+    g = gens.generators
+    pair = np.einsum("iab,jbc->ijac", g, g)
+    triple = np.einsum("ijab,kba->ijk", pair, g)
+    del pair
+    f = np.real((triple - triple.transpose(1, 0, 2)) / 4j)
+    dsym = np.real((triple + triple.transpose(1, 0, 2)) / 4.0)
+    return f, dsym

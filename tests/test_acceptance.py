@@ -145,7 +145,7 @@ def test_criterion_04_qubit_closed_forms():
             r = state_to_bloch(ctx.state, gens)
             x_axis = basis_to_bloch_frame(ctx.first, gens)[0]
             y_axis = basis_to_bloch_frame(ctx.second, gens)[0]
-            i_c, m = qubit_measures(r.r, x_axis.r, y_axis.r)
+            i_c, m = qubit_measures(r.r, x_axis, y_axis)
             assert abs(i_c - context_incompatibility(ctx)) <= 1e-10
             assert abs(m - measurement_incompatibility(ctx.first, ctx.second)) <= 1e-10
             assert abs(m - leakage_ratio(Context(
@@ -212,9 +212,8 @@ def test_criterion_07_geometric_equivalence():
                     - measurement_incompatibility(ctx.first, ctx.second)
                 ) <= 1e-9
 
-                rows = np.stack([x.r for x in xframe])
                 frame_law = (np.eye(d) * d - 1.0) / (d - 1.0)
-                assert np.max(np.abs(rows @ rows.T - frame_law)) <= 1e-10
+                assert np.max(np.abs(xframe @ xframe.T - frame_law)) <= 1e-10
                 assert abs(
                     ctx.state.purity() - (1 + (d - 1) * r.norm() ** 2) / d
                 ) <= 1e-10

@@ -43,6 +43,7 @@ from qincompat.measures import (
     measurement_incompatibility,
 )
 
+from _oracles import structure_tensors
 from _util import bloch_axis, qubit_basis, random_context, write_document
 
 PAULI = {
@@ -78,9 +79,9 @@ class TestBuildGenerators:
             np.testing.assert_allclose(gens.generators[i - 1], PAULI[i], atol=1e-15)
 
     def test_qubit_structure_constants(self):
-        gens = build_generators(2)
-        assert gens.f[0, 1, 2] == pytest.approx(1.0, abs=1e-14)
-        assert np.abs(gens.dsym).max() == pytest.approx(0.0, abs=1e-14)
+        f, dsym = structure_tensors(build_generators(2))
+        assert f[0, 1, 2] == pytest.approx(1.0, abs=1e-14)
+        assert np.abs(dsym).max() == pytest.approx(0.0, abs=1e-14)
 
     def test_qutrit_generators_match_the_standard_eight(self):
         gens = build_generators(3)
@@ -103,14 +104,14 @@ class TestBuildGenerators:
 
     def test_tensor_symmetries_on_sampled_triples(self):
         rng = np.random.default_rng(61)
-        gens = build_generators(4)
+        f, dsym = structure_tensors(build_generators(4))
         n = 15
         for _ in range(200):
             i, j, k = rng.integers(n, size=3)
-            assert gens.f[i, j, k] == pytest.approx(-gens.f[j, i, k], abs=1e-10)
-            assert gens.f[i, j, k] == pytest.approx(gens.f[j, k, i], abs=1e-10)
-            assert gens.dsym[i, j, k] == pytest.approx(gens.dsym[j, i, k], abs=1e-10)
-            assert gens.dsym[i, j, k] == pytest.approx(gens.dsym[k, j, i], abs=1e-10)
+            assert f[i, j, k] == pytest.approx(-f[j, i, k], abs=1e-10)
+            assert f[i, j, k] == pytest.approx(f[j, k, i], abs=1e-10)
+            assert dsym[i, j, k] == pytest.approx(dsym[j, i, k], abs=1e-10)
+            assert dsym[i, j, k] == pytest.approx(dsym[k, j, i], abs=1e-10)
 
     def test_rejects_dimension_one(self):
         with pytest.raises(ValueError):
@@ -119,8 +120,7 @@ class TestBuildGenerators:
     @pytest.mark.parametrize("d", [2, 5])
     def test_generators_are_read_only(self, d):
         gens = build_generators(d)
-        for arr in (gens.generators, gens.f, gens.dsym):
-            assert not arr.flags.writeable
+        assert not gens.generators.flags.writeable
         with pytest.raises(ValueError):
             gens.generators[0, 0, 0] = 1.0
 
@@ -168,19 +168,20 @@ class TestStarWedge:
     def test_matches_structure_constant_forms(self, d):
         rng = np.random.default_rng(69)
         gens = build_generators(d)
+        f, dsym = structure_tensors(gens)
         coeff = 0.0 if d == 2 else gens.c_d / (d - 2)
         for _ in range(20):
             u = state_to_bloch(random_density_matrix(d, rng), gens)
             v = state_to_bloch(random_density_matrix(d, rng), gens)
             np.testing.assert_allclose(
                 wedge(u, v, gens).r,
-                np.einsum("ijk,j,k->i", gens.f, u.r, v.r),
+                np.einsum("ijk,j,k->i", f, u.r, v.r),
                 rtol=0,
                 atol=1e-12,
             )
             np.testing.assert_allclose(
                 star(u, v, gens).r,
-                coeff * np.einsum("ijk,j,k->i", gens.dsym, u.r, v.r),
+                coeff * np.einsum("ijk,j,k->i", dsym, u.r, v.r),
                 rtol=0,
                 atol=1e-12,
             )
@@ -241,7 +242,7 @@ class TestStateConversion:
         gens = build_generators(3)
         frame = basis_to_bloch_frame(ObservableBasis.computational(3), gens)
         with pytest.raises(InvariantViolationError, match="negative eigenvalue"):
-            bloch_to_state(BlochVector(3, -frame[0].r), gens)
+            bloch_to_state(BlochVector(3, -frame[0]), gens)
 
     def test_ball_membership_enforced(self):
         with pytest.raises(InvariantViolationError, match="Bloch ball"):
@@ -257,15 +258,21 @@ class TestBlochFrames:
     def test_qubit_computational_frame(self):
         gens = build_generators(2)
         frame = basis_to_bloch_frame(ObservableBasis.computational(2), gens)
-        np.testing.assert_allclose(frame[0].r, [0, 0, 1], atol=1e-14)
-        np.testing.assert_allclose(frame[1].r, [0, 0, -1], atol=1e-14)
+        np.testing.assert_allclose(frame[0], [0, 0, 1], atol=1e-14)
+        np.testing.assert_allclose(frame[1], [0, 0, -1], atol=1e-14)
+
+    def test_frame_is_a_read_only_array(self):
+        frame = basis_to_bloch_frame(ObservableBasis.fourier(3), build_generators(3))
+        assert frame.shape == (3, 8)
+        assert frame.dtype == np.float64
+        with pytest.raises(ValueError):
+            frame[0, 0] = 1.0
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_frame_dot_law_and_zero_sum(self, d):
         rng = np.random.default_rng(71)
         gens = build_generators(d)
-        frame = basis_to_bloch_frame(random_observable_basis(d, rng), gens)
-        rows = np.stack([x.r for x in frame])
+        rows = basis_to_bloch_frame(random_observable_basis(d, rng), gens)
         expected = (np.eye(d) * d - 1.0) / (d - 1.0)
         np.testing.assert_allclose(rows @ rows.T, expected, atol=1e-10)
         np.testing.assert_allclose(rows.sum(axis=0), np.zeros(d * d - 1), atol=1e-10)
@@ -274,8 +281,8 @@ class TestBlochFrames:
         gens = build_generators(3)
         frame = basis_to_bloch_frame(ObservableBasis.computational(3), gens)
         for x in frame:
-            np.testing.assert_allclose(x.r[:6], np.zeros(6), atol=1e-14)
-            assert np.linalg.norm(x.r[6:]) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(x[:6], np.zeros(6), atol=1e-14)
+            assert np.linalg.norm(x[6:]) == pytest.approx(1.0, abs=1e-12)
 
     def test_projector_reconstruction(self):
         rng = np.random.default_rng(72)
@@ -284,7 +291,7 @@ class TestBlochFrames:
         frame = basis_to_bloch_frame(basis, gens)
         for j, x in enumerate(frame):
             rebuilt = (
-                np.eye(4) + gens.c_d * np.tensordot(x.r, gens.generators, 1)
+                np.eye(4) + gens.c_d * np.tensordot(x, gens.generators, 1)
             ) / 4
             np.testing.assert_allclose(rebuilt, basis.projectors()[j], atol=1e-12)
 
@@ -299,7 +306,7 @@ class TestBlochFrames:
             probs = outcome_probabilities(rho, basis)
             for j, x in enumerate(frame):
                 assert probs[j] == pytest.approx(
-                    (1 + (d - 1) * float(x.r @ r.r)) / d, abs=1e-10
+                    (1 + (d - 1) * float(x @ r.r)) / d, abs=1e-10
                 )
 
 
@@ -310,8 +317,8 @@ class TestGeometricMaps:
         basis = random_observable_basis(3, rng)
         frame = basis_to_bloch_frame(basis, gens)
         other = basis_to_bloch_frame(random_observable_basis(3, rng), gens)
-        u, _ = geometric_maps(frame[1], frame, other)
-        np.testing.assert_allclose(u.r, frame[1].r, atol=1e-10)
+        u, _ = geometric_maps(BlochVector(3, frame[1]), frame, other)
+        np.testing.assert_allclose(u.r, frame[1], atol=1e-10)
 
     def test_center_is_fixed(self):
         gens = build_generators(2)
@@ -432,6 +439,32 @@ class TestGeometricMeasures:
         with pytest.raises(ZeroInformationError):
             leakage_ratio(silent)
 
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            lambda r, x, y: geometric_maps(r, x, y),
+            geometric_context_incompatibility,
+            geometric_leakage_ratio,
+            lambda r, x, y: geometric_measurement_incompatibility(x, y),
+        ],
+        ids=["maps", "context", "leakage", "measurement"],
+    )
+    def test_frames_are_checked(self, measure):
+        r = BlochVector(2, [0.0, 0.0, 0.5])
+        good = basis_to_bloch_frame(ObservableBasis.computational(2), build_generators(2))
+        qutrit = basis_to_bloch_frame(ObservableBasis.computational(3), build_generators(3))
+        for wrong in (qutrit, good[:1], good.T, good.ravel(), good.tolist()[:1]):
+            with pytest.raises(DimensionMismatchError):
+                measure(r, good, wrong)
+            with pytest.raises(DimensionMismatchError):
+                measure(r, wrong, good)
+        nan = np.array(good)
+        nan[1, 0] = math.nan
+        with pytest.raises(InvariantViolationError, match="non-finite"):
+            measure(r, good, nan)
+        with pytest.raises(InvariantViolationError, match="non-finite"):
+            measure(r, nan, good)
+
     def test_dimension_mismatch(self):
         gens = build_generators(3)
         with pytest.raises(DimensionMismatchError):
@@ -470,7 +503,7 @@ class TestQubitMeasures:
         for _ in range(25):
             ctx = random_context(2, rng)
             r, xframe, yframe = frames_of(ctx, gens)
-            i_c, m = qubit_measures(r.r, xframe[0].r, yframe[0].r)
+            i_c, m = qubit_measures(r.r, xframe[0], yframe[0])
             assert i_c == pytest.approx(context_incompatibility(ctx), abs=1e-10)
             assert m == pytest.approx(
                 measurement_incompatibility(ctx.first, ctx.second), abs=1e-10

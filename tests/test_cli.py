@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,11 +73,37 @@ class TestMeasureCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["i_context"] == pytest.approx(1.0, abs=1e-10)
 
-    def test_parse_error_exit_code(self, tmp_path, capsys):
+    def test_parse_error_exit_code(self, tmp_path, capsys, monkeypatch):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["measure", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
+        # every document command fails closed on bytes that are not UTF-8 and
+        # on eigenvalue lists that are not numbers
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"version": "1", "note": "caf\xe9"}')
+        paths = [str(latin1)]
+        for i, (key, value) in enumerate(
+            [("x_eigenvalues", ["a", 1]), ("y_eigenvalues", {"a": 1}), ("x_eigenvalues", [[1], 2])]
+        ):
+            paths.append(
+                write_document(
+                    tmp_path / f"eigs{i}.json", 2, np.eye(2) / 2, np.eye(2), np.eye(2), **{key: value}
+                )
+            )
+        for path in paths:
+            for command in ("measure", "sweep", "protocol", "bloch"):
+                assert main([command, path]) == 2
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err.startswith("error: ") and err.count("\n") == 1
+
+        def unreadable(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", args[0])
+
+        monkeypatch.setattr("qincompat.cli.open", unreadable, raising=False)
+        assert main(["measure", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 13] Permission denied")
 
     def test_invariant_violation_exit_code(self, tmp_path, capsys):
         doc = write_document(
@@ -317,3 +344,18 @@ class TestDocumentValidation:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["measure", str(tmp_path / "absent.json")]) == 2
+
+
+class TestReadmeExample:
+    ROOT = Path(__file__).resolve().parents[1]
+    EXAMPLE = ROOT / "examples" / "context-d2.json"
+
+    def test_readme_shows_the_example_file(self):
+        readme = (self.ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        assert block == self.EXAMPLE.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("command", ["measure", "bloch"])
+    def test_example_is_accepted(self, command, capsys):
+        assert main([command, str(self.EXAMPLE)]) == 0
+        json.loads(capsys.readouterr().out)

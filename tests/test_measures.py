@@ -5,6 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from qincompat.bloch import (
+    basis_to_bloch_frame,
+    build_generators,
+    geometric_measurement_incompatibility,
+)
 from qincompat.core import (
     Context,
     DensityMatrix,
@@ -196,16 +201,23 @@ class TestMeasurementIncompatibility:
 
     def test_rounding_never_leaves_the_unit_interval(self):
         # unclamped, about a third of these commuting pairs round below zero
+        # (the geometric M on half of them, the eigenstate ratio on a quarter)
         # and the d = 2 Fourier pair rounds to 1 + 4e-16
         rng = np.random.default_rng(110)
         for d in (2, 3, 4):
+            gens = build_generators(d)
             for _ in range(30):
                 ctx = commuting_context(d, rng)
                 assert measurement_incompatibility(ctx.first, ctx.second) >= 0.0
                 assert incompatibility_report(ctx).m_measurement >= 0.0
+                xframe = basis_to_bloch_frame(ctx.first, gens)
+                yframe = basis_to_bloch_frame(ctx.second, gens)
+                assert geometric_measurement_incompatibility(xframe, yframe) >= 0.0
+                assert eigenstate_ratio(0, ctx.first, ctx.second) >= 0.0
         for d in range(2, 17):
             first, second = ObservableBasis.computational(d), ObservableBasis.fourier(d)
             assert measurement_incompatibility(first, second) <= 1.0
+            assert all(eigenstate_ratio(j, first, second) <= 1.0 for j in range(d))
         assert measurement_incompatibility(
             ObservableBasis.computational(2), ObservableBasis.fourier(2)
         ) == 1.0

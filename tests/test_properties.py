@@ -176,8 +176,8 @@ def test_bloch_round_trip_and_frame_identity(ctx):
     slack = (2 * d + 1) * entry_error + d**2 * U
     assert np.max(np.abs(back.entries - ctx.state.entries)) <= slack
 
-    xs = np.stack([x.r for x in basis_to_bloch_frame(ctx.first, gens)])
-    ys = np.stack([y.r for y in basis_to_bloch_frame(ctx.second, gens)])
+    xs = basis_to_bloch_frame(ctx.first, gens)
+    ys = basis_to_bloch_frame(ctx.second, gens)
     trans = transition_matrix(ctx.first, ctx.second)
     # for columns with ||x||^2 = 1 + eta the exact dot is
     # (d/(d-1)) (T_jk - ||x_j||^2 ||y_k||^2 / d), so the bases' normalization
