@@ -25,8 +25,6 @@ from .core import (
     probability_vector,
     random_density_matrix,
     random_observable_basis,
-    relative_entropy,
-    sequential_dephase,
     shannon_entropy,
     transition_matrix,
     von_neumann_entropy,
@@ -41,9 +39,7 @@ from .errors import (
 from .measures import (
     ContextClass,
     IncompatibilityReport,
-    algebraic_incompatibility,
     classify_context,
-    coherence_form,
     context_incompatibility,
     depolarizing_kraus,
     eigenstate_ratio,

@@ -66,7 +66,7 @@ class BlochVector:
             raise InvariantViolationError("Bloch vector has non-finite entries")
         if np.linalg.norm(vec) > 1.0 + BALL_TOL:
             raise InvariantViolationError(
-                f"vector norm {np.linalg.norm(vec)!r} is outside the Bloch ball"
+                f"vector norm {float(np.linalg.norm(vec))!r} is outside the Bloch ball"
             )
         vec.setflags(write=False)
         object.__setattr__(self, "r", vec)

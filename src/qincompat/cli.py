@@ -5,11 +5,13 @@ eigenbases (columns are eigenvectors); complex numbers are encoded as
 two-element [re, im] arrays. All entropic output is in nats unless --bits
 is passed, which divides by ln 2 at the presentation layer only.
 
-Exit codes: 0 success, 2 parse error (unreadable document or a
-non-integer $QINCOMPAT_SEED), 3 invariant violation (non-finite numbers
-included), 4 malformed sweep grid (unless 0 < lo <= hi <= 1), 5 protocol or
-numerical error (a failed cross-check or eigensolver in measure, sweep or
-protocol), 6 search error (--dim outside 2..16 included), 7 geometry error.
+Exit codes: 0 success, 2 parse error (unreadable document, a non-number
+where a number belongs, or a non-integer $QINCOMPAT_SEED), 3 invariant
+violation (non-finite numbers included) from every subcommand, 4 malformed
+sweep grid (unless 0 < lo <= hi <= 1), 5 any other numerical error (a failed
+cross-check or eigensolver included) in measure, sweep or protocol, 6 the
+same in mub (--dim outside 2..16 included), 7 the same in bloch. ``main``
+maps errors to these codes in one place.
 """
 
 from __future__ import annotations
@@ -24,11 +26,7 @@ import numpy as np
 
 from .bloch import basis_to_bloch_frame, build_generators, geometric_maps, state_to_bloch
 from .core import Context, DensityMatrix, ObservableBasis
-from .errors import (
-    DimensionMismatchError,
-    InvariantViolationError,
-    ZeroInformationError,
-)
+from .errors import DimensionMismatchError, InvariantViolationError
 from .measures import incompatibility_report
 from .mubsearch import SearchConfig, maximize_incompatibility
 from .protocol import noise_sweep, stinespring_ledger
@@ -51,11 +49,28 @@ class DocumentError(ValueError):
     """The context document is structurally unreadable."""
 
 
-def _complex_matrix(raw, name: str) -> np.ndarray:
+class _GridError(ValueError):
+    """The --eps-grid spec is malformed or out of range."""
+
+
+def _numbers(raw, name: str) -> np.ndarray:
+    """The float array of nested JSON arrays whose leaves are all numbers.
+
+    A string, boolean or null leaf, or ragged nesting (which leaves a list
+    as a leaf), raises DocumentError; a float conversion alone would accept
+    strings and booleans.
+    """
     try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"{name}: entries must be [re, im] number pairs") from exc
+        arr = np.array(raw, dtype=object)
+        if set(map(type, arr.flat)) <= {int, float}:
+            return arr.astype(float)
+    except (ValueError, OverflowError):
+        pass
+    raise DocumentError(f"{name}: entries must be JSON numbers in arrays of equal length")
+
+
+def _complex_matrix(raw, name: str) -> np.ndarray:
+    arr = _numbers(raw, name)
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise DocumentError(f"{name}: expected a square matrix of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -88,10 +103,7 @@ def load_context_document(path: str) -> Context:
     def eigenvalues(key: str):
         if key not in doc:
             return None
-        try:
-            vals = np.asarray(doc[key], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise DocumentError(f"{key} must list {dim} numbers") from exc
+        vals = _numbers(doc[key], key)
         if vals.shape != (dim,):
             raise DocumentError(f"{key} must list {dim} numbers")
         return vals
@@ -102,23 +114,19 @@ def load_context_document(path: str) -> Context:
     return Context(state, x_basis, y_basis)
 
 
+# adding 0.0 turns a rounded -0.0 into 0.0, so no printed zero carries a sign
 def _sig(value: float, bits: bool = False) -> float:
     if bits:
         value = value / math.log(2.0)
-    return float(f"{value:.12g}")
+    return float(f"{value:.12g}") + 0.0
 
 
 def _fixed(value: float) -> float:
-    return float(f"{value:.12f}")
+    return float(f"{value:.12f}") + 0.0
 
 
 def cmd_measure(args) -> int:
-    ctx = load_context_document(args.input)
-    try:
-        report = incompatibility_report(ctx)
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROTOCOL
+    report = incompatibility_report(load_context_document(args.input))
     payload = {
         "i_context": _sig(report.i_context, args.bits),
         "i_initial": _sig(report.i_initial, args.bits),
@@ -136,31 +144,23 @@ def cmd_measure(args) -> int:
 def _parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) != 4 or parts[0] not in ("log", "lin"):
-        raise DocumentError(f"grid spec must be log:<lo>:<hi>:<n> or lin:<lo>:<hi>:<n>, got {spec!r}")
+        raise _GridError(f"grid spec must be log:<lo>:<hi>:<n> or lin:<lo>:<hi>:<n>, got {spec!r}")
     try:
         lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
-        raise DocumentError(f"malformed grid spec {spec!r}") from exc
+        raise _GridError(f"malformed grid spec {spec!r}") from exc
     # written so that NaN fails it too
     if count < 1 or not (0 < lo <= hi <= 1):
-        raise DocumentError(f"grid spec {spec!r} out of range")
+        raise _GridError(f"grid spec {spec!r} out of range")
     if parts[0] == "log":
         return np.logspace(math.log10(lo), math.log10(hi), count)
     return np.linspace(lo, hi, count)
 
 
 def cmd_sweep(args) -> int:
-    try:
-        grid = _parse_grid(args.eps_grid)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GRID
-    ctx = load_context_document(args.input)
-    try:
-        points = noise_sweep(ctx, grid)
-    except (ZeroInformationError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROTOCOL
+    # parsed before the document is read, so a bad grid exits 4 whatever the document
+    grid = _parse_grid(args.eps_grid)
+    points = noise_sweep(load_context_document(args.input), grid)
     print("epsilon,i_initial,i_final,ratio")
     for point in points:
         print(
@@ -171,12 +171,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_protocol(args) -> int:
-    ctx = load_context_document(args.input)
-    try:
-        ledger = stinespring_ledger(ctx)
-    except (ArithmeticError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROTOCOL
+    ledger = stinespring_ledger(load_context_document(args.input))
     print(
         json.dumps(
             {
@@ -202,17 +197,13 @@ def cmd_mub(args) -> int:
         except ValueError:
             print(f"error: {SEED_ENV_VAR} must be an integer, got {raw!r}", file=sys.stderr)
             return EXIT_PARSE
-    try:
-        config = SearchConfig(
-            dim=args.dim,
-            restarts=args.restarts,
-            max_iters=args.max_iters,
-            seed=seed,
-        )
-        result = maximize_incompatibility(ObservableBasis.computational(args.dim), config)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEARCH
+    config = SearchConfig(
+        dim=args.dim,
+        restarts=args.restarts,
+        max_iters=args.max_iters,
+        seed=seed,
+    )
+    result = maximize_incompatibility(ObservableBasis.computational(args.dim), config)
     print(
         json.dumps(
             {
@@ -229,15 +220,11 @@ def cmd_mub(args) -> int:
 
 def cmd_bloch(args) -> int:
     ctx = load_context_document(args.input)
-    try:
-        gens = build_generators(ctx.dim)
-        r = state_to_bloch(ctx.state, gens)
-        xs = basis_to_bloch_frame(ctx.first, gens)
-        ys = basis_to_bloch_frame(ctx.second, gens)
-        u, v = geometric_maps(r, xs, ys)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
+    gens = build_generators(ctx.dim)
+    r = state_to_bloch(ctx.state, gens)
+    xs = basis_to_bloch_frame(ctx.first, gens)
+    ys = basis_to_bloch_frame(ctx.second, gens)
+    u, v = geometric_maps(r, xs, ys)
     payload = {
         "r": [_fixed(c) for c in r.r],
         "u": [_fixed(c) for c in u.r],
@@ -264,18 +251,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_measure = sub.add_parser("measure", help="all incompatibility measures of a context")
     p_measure.add_argument("input", help="context document path")
-    p_measure.set_defaults(func=cmd_measure)
+    p_measure.set_defaults(func=cmd_measure, failure=EXIT_PROTOCOL)
 
     p_sweep = sub.add_parser("sweep", help="noise sweep as CSV")
     p_sweep.add_argument("input", help="context document path")
     p_sweep.add_argument(
         "--eps-grid", default="log:1e-4:1:20", help="log:<lo>:<hi>:<n> or lin:<lo>:<hi>:<n>"
     )
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, failure=EXIT_PROTOCOL)
 
     p_protocol = sub.add_parser("protocol", help="dilated interception ledger")
     p_protocol.add_argument("input", help="context document path")
-    p_protocol.set_defaults(func=cmd_protocol)
+    p_protocol.set_defaults(func=cmd_protocol, failure=EXIT_PROTOCOL)
 
     p_mub = sub.add_parser("mub", help="search an unbiased partner basis")
     p_mub.add_argument("--dim", type=int, required=True)
@@ -284,25 +271,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_mub.add_argument(
         "--seed", type=int, default=None, help=f"defaults to ${SEED_ENV_VAR} or 0"
     )
-    p_mub.set_defaults(func=cmd_mub)
+    p_mub.set_defaults(func=cmd_mub, failure=EXIT_SEARCH)
 
     p_bloch = sub.add_parser("bloch", help="Bloch vectors and frame dot products")
     p_bloch.add_argument("input", help="context document path")
-    p_bloch.set_defaults(func=cmd_bloch)
+    p_bloch.set_defaults(func=cmd_bloch, failure=EXIT_GEOMETRY)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; every error it raises maps to an exit code here,
+    the first matching row winning: grid, parse, invariant, then the
+    subcommand's own ``failure`` code for any other ValueError or
+    ArithmeticError (np.linalg.LinAlgError is a ValueError)."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _GridError as exc:
+        message, code = str(exc), EXIT_GRID
     except (DocumentError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        message, code = str(exc), EXIT_PARSE
     except (InvariantViolationError, DimensionMismatchError) as exc:
-        print(f"error: invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        message, code = f"invariant violation: {exc}", EXIT_INVARIANT
+    except (ValueError, ArithmeticError) as exc:
+        message, code = str(exc), args.failure
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -24,8 +24,6 @@ GRAM_TOL = 1e-10
 EIGENVALUE_SPACING_TOL = 1e-9
 PROBABILITY_CLIP = 1e-12
 PROBABILITY_SUM_TOL = 1e-10
-SUPPORT_EIGENVALUE_CUTOFF = 1e-12
-SUPPORT_WEIGHT_CUTOFF = 1e-10
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,7 @@ class DensityMatrix:
             raise InvariantViolationError("state matrix is not Hermitian")
         if abs(mat.trace() - 1.0) > TRACE_TOL:
             raise InvariantViolationError(
-                f"state trace {mat.trace().real!r} is not 1"
+                f"state trace {float(mat.trace().real)!r} is not 1"
             )
         vals = np.linalg.eigvalsh(mat)
         if vals[0] < -EIGENVALUE_CLIP:
@@ -77,7 +75,7 @@ class DensityMatrix:
 
     def purity(self) -> float:
         """Tr(rho^2), i.e. the squared Hilbert-Schmidt norm of the state."""
-        return hs_norm_sq(self.entries)
+        return float(np.sum(np.abs(self.entries) ** 2))
 
     @classmethod
     def pure(cls, ket: np.ndarray) -> "DensityMatrix":
@@ -203,7 +201,7 @@ def probability_vector(values: np.ndarray) -> np.ndarray:
     probs = np.clip(probs, 0.0, None)
     if abs(probs.sum() - 1.0) > PROBABILITY_SUM_TOL:
         raise InvariantViolationError(
-            f"probabilities sum to {probs.sum()!r}, not 1"
+            f"probabilities sum to {float(probs.sum())!r}, not 1"
         )
     return probs
 
@@ -230,11 +228,6 @@ def information(rho: DensityMatrix) -> float:
     return math.log(rho.dim) - von_neumann_entropy(rho)
 
 
-def hs_norm_sq(matrix: np.ndarray) -> float:
-    """Squared Hilbert-Schmidt norm Tr(A^dagger A)."""
-    return float(np.sum(np.abs(matrix) ** 2))
-
-
 def outcome_probabilities(rho: DensityMatrix, basis: ObservableBasis) -> np.ndarray:
     """Born probabilities p_j of measuring ``basis`` on ``rho``."""
     _require_same_dim(rho.dim, basis.dim)
@@ -256,14 +249,6 @@ def dephase(rho: DensityMatrix, basis: ObservableBasis) -> DensityMatrix:
     return DensityMatrix((cols * probs) @ cols.conj().T)
 
 
-def sequential_dephase(
-    rho: DensityMatrix, first: ObservableBasis, second: ObservableBasis
-) -> DensityMatrix:
-    """Dephase in ``first``, then in ``second``."""
-    _require_same_dim(rho.dim, first.dim, second.dim)
-    return dephase(dephase(rho, first), second)
-
-
 def transition_matrix(first: ObservableBasis, second: ObservableBasis) -> np.ndarray:
     """Doubly stochastic matrix of squared overlaps.
 
@@ -273,30 +258,6 @@ def transition_matrix(first: ObservableBasis, second: ObservableBasis) -> np.nda
     _require_same_dim(first.dim, second.dim)
     overlaps = first.vectors.conj().T @ second.vectors
     return np.abs(overlaps) ** 2
-
-
-def relative_entropy(sigma: DensityMatrix, varrho: DensityMatrix) -> float:
-    """Quantum relative entropy S(sigma || varrho) = Tr[sigma(ln sigma - ln varrho)].
-
-    Returns +inf when the support of ``sigma`` sticks out of the support of
-    ``varrho``: an eigenvalue of ``varrho`` below 1e-12 carrying more than
-    1e-10 of sigma-weight in that eigendirection.
-    """
-    _require_same_dim(sigma.dim, varrho.dim)
-    s_vals, s_vecs = np.linalg.eigh(sigma.entries)
-    t_vals, t_vecs = np.linalg.eigh(varrho.entries)
-    overlap_sq = np.abs(s_vecs.conj().T @ t_vecs) ** 2  # [i, j] = |<u_i|v_j>|^2
-    weight_on_t = np.clip(s_vals, 0.0, None) @ overlap_sq
-    small = t_vals < SUPPORT_EIGENVALUE_CUTOFF
-    if np.any(weight_on_t[small] > SUPPORT_WEIGHT_CUTOFF):
-        return math.inf
-    term_sigma = -shannon_entropy(s_vals)
-    keep = ~small
-    log_t = np.log(t_vals[keep])
-    term_cross = float(
-        np.clip(s_vals, 0.0, None) @ overlap_sq[:, keep] @ log_t
-    )
-    return term_sigma - term_cross
 
 
 def random_density_matrix(

@@ -25,12 +25,9 @@ from .core import (
     DensityMatrix,
     ObservableBasis,
     _require_same_dim,
-    dephase,
     outcome_probabilities,
-    relative_entropy,
     shannon_entropy,
     transition_matrix,
-    von_neumann_entropy,
 )
 from .errors import (
     ChannelValidationError,
@@ -40,7 +37,6 @@ from .errors import (
 
 COMMUTATION_TOL = 1e-10
 ZERO_INFO_NORM_TOL = 1e-10
-ALGEBRAIC_AGREEMENT_TOL = 1e-12
 CHANNEL_STRUCTURE_TOL = 1e-10
 CHANNEL_COMMUTATION_TOL = 1e-9
 MONOTONICITY_SLACK = 1e-9
@@ -122,21 +118,6 @@ def context_incompatibility(ctx: Context) -> float:
     return shannon_entropy(q) - shannon_entropy(p)
 
 
-def coherence_form(ctx: Context) -> float:
-    """Same resource, expressed as coherence left in the dephased state.
-
-    Evaluates the relative entropy between the once-dephased state and its
-    dephasing in the second basis. Falls back to the entropy difference in
-    the (measure-zero) event the operator form reports a support mismatch.
-    """
-    sigma = dephase(ctx.state, ctx.first)
-    tau = dephase(sigma, ctx.second)
-    value = relative_entropy(sigma, tau)
-    if math.isinf(value):
-        return von_neumann_entropy(tau) - von_neumann_entropy(sigma)
-    return value
-
-
 def leakage_ratio(ctx: Context) -> float:
     """Extracted over injected information in the large-noise limit.
 
@@ -176,31 +157,6 @@ def measurement_incompatibility(first: ObservableBasis, second: ObservableBasis)
     pair.
     """
     return _overlap_form(transition_matrix(first, second))
-
-
-def algebraic_incompatibility(first: ObservableBasis, second: ObservableBasis) -> float:
-    """Deficit of the projector-product array from the commuting case.
-
-    Builds the d x d array of operator products P_j Q_k explicitly and
-    measures d minus the sum of Tr[(P_j Q_k)^2]. Kept deliberately
-    independent of the overlap shortcut so it can serve as an oracle for
-    ``measurement_incompatibility``; the two are tied by a factor d - 1
-    and that relation is verified on every call.
-    """
-    _require_same_dim(first.dim, second.dim)
-    d = first.dim
-    products = np.einsum(
-        "jab,kbc->jkac", first.projectors(), second.projectors()
-    )
-    traces = np.real(np.einsum("jkab,jkba->jk", products, products))
-    deficit = d - float(traces.sum())
-    m_value = measurement_incompatibility(first, second)
-    if abs(m_value - deficit / (d - 1)) > ALGEBRAIC_AGREEMENT_TOL:
-        raise CrossCheckError(
-            f"algebraic deficit {deficit / (d - 1)!r} disagrees with "
-            f"measurement incompatibility {m_value!r}"
-        )
-    return deficit
 
 
 def classify_context(ctx: Context) -> ContextClass:

@@ -32,7 +32,6 @@ from qincompat.core import (
 )
 from qincompat.measures import (
     ContextClass,
-    algebraic_incompatibility,
     classify_context,
     context_incompatibility,
     eigenstate_ratio,
@@ -47,6 +46,7 @@ from qincompat.protocol import (
     stinespring_ledger,
 )
 
+from _oracles import algebraic_incompatibility
 from _util import (
     commuting_context,
     mub_mixture_context,

@@ -245,7 +245,7 @@ class TestStateConversion:
             bloch_to_state(BlochVector(3, -frame[0]), gens)
 
     def test_ball_membership_enforced(self):
-        with pytest.raises(InvariantViolationError, match="Bloch ball"):
+        with pytest.raises(InvariantViolationError, match=r"^vector norm 1\.2 is outside the Bloch ball$"):
             BlochVector(2, [1.2, 0.0, 0.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

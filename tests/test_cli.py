@@ -1,5 +1,6 @@
 """Command-line interface: documents, commands, exit codes, determinism."""
 
+import argparse
 import json
 import math
 from pathlib import Path
@@ -7,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qincompat.cli import main
-from qincompat.errors import CrossCheckError
+from qincompat.cli import build_parser, main
+from qincompat.core import ObservableBasis
+from qincompat.errors import CrossCheckError, InvariantViolationError
 
 from _util import encode_matrix, qubit_basis, write_document
 
@@ -79,18 +81,32 @@ class TestMeasureCommand:
         assert main(["measure", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
         # every document command fails closed on bytes that are not UTF-8 and
-        # on eigenvalue lists that are not numbers
+        # on arrays that hold anything but JSON numbers, in equal lengths
         latin1 = tmp_path / "latin1.json"
         latin1.write_bytes(b'{"version": "1", "note": "caf\xe9"}')
         paths = [str(latin1)]
+        string_pairs = [[["0.5", "0"], ["0", "0"]], [["0", "0"], ["0.5", "0"]]]
         for i, (key, value) in enumerate(
-            [("x_eigenvalues", ["a", 1]), ("y_eigenvalues", {"a": 1}), ("x_eigenvalues", [[1], 2])]
+            [
+                ("x_eigenvalues", ["a", 1]),
+                ("y_eigenvalues", {"a": 1}),
+                ("x_eigenvalues", [[1], 2]),
+                ("x_eigenvalues", ["1", "2e0"]),
+                ("x_eigenvalues", [True, False]),
+                ("y_eigenvalues", [1, None]),
+                ("x_basis", string_pairs),
+                ("y_basis", [[[1, 0], [0, 0]], [[0, 0], [1]]]),
+            ]
         ):
             paths.append(
                 write_document(
                     tmp_path / f"eigs{i}.json", 2, np.eye(2) / 2, np.eye(2), np.eye(2), **{key: value}
                 )
             )
+        doc = json.loads(Path(paths[1]).read_text())
+        doc["rho"] = string_pairs
+        (tmp_path / "rho-strings.json").write_text(json.dumps(doc))
+        paths.append(str(tmp_path / "rho-strings.json"))
         for path in paths:
             for command in ("measure", "sweep", "protocol", "bloch"):
                 assert main([command, path]) == 2
@@ -139,6 +155,31 @@ class TestMeasureCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: invariant violation")
+
+    def test_invariant_violation_exits_three_from_every_document_command(self, tmp_path, capsys):
+        # the x basis passes the Gram check (deviation 9.8e-11), but the Born
+        # probabilities of the uniform superposition sum to 1 + 1.5e-9
+        d = 16
+        x_cols = np.eye(d) + 4.9e-11 * (np.ones((d, d)) - np.eye(d))
+        ket = np.ones(d) / math.sqrt(d)
+        doc = write_document(
+            tmp_path / "skewed.json",
+            d,
+            np.outer(ket, ket),
+            x_cols,
+            ObservableBasis.fourier(d).vectors,
+        )
+        for command in ("measure", "sweep", "protocol"):
+            assert main([command, doc]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: invariant violation: ") and err.count("\n") == 1
+
+    def test_every_subcommand_declares_its_failure_code(self):
+        parser = build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for name, subparser in subparsers.choices.items():
+            assert isinstance(subparser.get_default("failure"), int), name
 
     def test_missing_key_exit_code(self, tmp_path, capsys):
         path = tmp_path / "partial.json"
@@ -227,6 +268,39 @@ class TestNumericalFailures:
         assert captured.out == ""
         assert captured.err == f"error: {error}\n"
 
+    # one table in main: an invariant violation exits 3 from every subcommand,
+    # any other ValueError or ArithmeticError exits with the subcommand's code
+    @pytest.mark.parametrize(
+        "command, target, code",
+        [
+            ("measure", "incompatibility_report", 5),
+            ("protocol", "stinespring_ledger", 5),
+            ("mub", "maximize_incompatibility", 6),
+            ("bloch", "build_generators", 7),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "error, prefix",
+        [
+            (ValueError("plain value error"), "error: "),
+            (InvariantViolationError("broken invariant"), "error: invariant violation: "),
+        ],
+        ids=["value", "invariant"],
+    )
+    def test_exit_code_table(
+        self, mub_eigenstate_doc, command, target, code, error, prefix, capsys, monkeypatch
+    ):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(f"qincompat.cli.{target}", fail)
+        argv = ["mub", "--dim", "2"] if command == "mub" else [command, mub_eigenstate_doc]
+        expected = 3 if isinstance(error, InvariantViolationError) else code
+        assert main(argv) == expected
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{prefix}{error}\n"
+
 
 class TestProtocolCommand:
     def test_maximally_mixed_ledger_consumes_nothing(self, mixed_doc, capsys):
@@ -291,6 +365,22 @@ class TestBlochCommand:
         assert payload["u"] == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
         assert payload["v"] == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
         assert payload["xx_dots"][0][1] == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("state", ["mub_eigenstate", "zero_info"])
+    def test_zeros_print_without_sign(self, tmp_path, state, capsys):
+        # the exact zeros of these geometries come out of the sums as rounding
+        # noise of either sign
+        d = 3
+        ket = np.eye(d)[0] if state == "mub_eigenstate" else np.ones(d) / math.sqrt(d)
+        doc = write_document(
+            tmp_path / f"{state}.json", d, np.outer(ket, ket), np.eye(d), ObservableBasis.fourier(d).vectors
+        )
+        assert main(["bloch", doc]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        leaves = np.concatenate([np.ravel(value) for value in payload.values()])
+        zeros = leaves[leaves == 0.0]
+        assert zeros.size > 0
+        assert not np.signbit(zeros).any()
 
     def test_repeated_runs_are_byte_identical(self, mub_eigenstate_doc, capsys):
         main(["bloch", mub_eigenstate_doc])

@@ -25,9 +25,7 @@ from qincompat.errors import (
 )
 from qincompat.measures import (
     ContextClass,
-    algebraic_incompatibility,
     classify_context,
-    coherence_form,
     context_incompatibility,
     depolarizing_kraus,
     eigenstate_ratio,
@@ -38,7 +36,7 @@ from qincompat.measures import (
     validate_free_operation,
 )
 
-from _oracles import apply_kraus
+from _oracles import algebraic_incompatibility, apply_kraus, coherence_form
 from _util import (
     commuting_context,
     eigenstate_context,

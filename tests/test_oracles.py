@@ -11,7 +11,6 @@ from qincompat.core import (
     DensityMatrix,
     ObservableBasis,
     random_observable_basis,
-    sequential_dephase,
     transition_matrix,
 )
 from qincompat.errors import ChannelValidationError, ZeroInformationError
@@ -46,6 +45,7 @@ from _oracles import (
     operator_classification,
     operator_leakage,
     projector_commutator_norm,
+    sequential_dephase,
 )
 from _util import (
     commuting_context,
@@ -246,3 +246,12 @@ def test_depolarizing_channel_passes_at_d16():
     ctx = random_context(16, np.random.default_rng(816))
     before, after = monotonicity_check(ctx, depolarizing_kraus(16, 0.3))
     assert after <= 0.7 * before + 1e-9
+
+
+def test_oracle_routes_are_not_exported():
+    import qincompat
+    import qincompat.core
+
+    for name in ("coherence_form", "relative_entropy", "algebraic_incompatibility", "sequential_dephase"):
+        assert not hasattr(qincompat, name), name
+    assert not hasattr(qincompat.core, "hs_norm_sq")

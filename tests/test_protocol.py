@@ -10,11 +10,9 @@ from qincompat.core import (
     DensityMatrix,
     ObservableBasis,
     dephase,
-    hs_norm_sq,
     information,
     random_density_matrix,
     random_observable_basis,
-    sequential_dephase,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -30,7 +28,7 @@ from qincompat.protocol import (
     weak_measure,
 )
 
-from _oracles import dilation_ledger
+from _oracles import dilation_ledger, hs_norm_sq, sequential_dephase
 from _util import commuting_context, eigenstate_context, qubit_basis, random_context
 
 LN2 = math.log(2.0)
