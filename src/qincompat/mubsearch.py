@@ -8,7 +8,11 @@ Eriksson & Koivunen, IEEE Trans. Signal Process. 56(3):1134, 2008): the
 objective's analytic gradient gives a skew-Hermitian direction, the
 candidate moves along the geodesic exp(mu G) U with an Armijo backtracking
 line search, and seeded random restarts start from Haar-random bases
-(``random_observable_basis``).
+(``random_observable_basis``). The objective is quartic in U, so each line
+search starts no further out than the period bound pi / (2 max|lambda|) of
+its fastest harmonic along the geodesic, lambda the eigenvalues of iG
+(Abrudan, Eriksson & Koivunen, Signal Process. 89(9):1704, 2009). A restart
+ends at its first failed line search or at a zero gradient.
 """
 
 from __future__ import annotations
@@ -23,14 +27,13 @@ from .core import (
     random_observable_basis,
     transition_matrix,
 )
-from .measures import _overlap_form, measurement_incompatibility
+from .measures import _overlap_form
 
 STEP_FLOOR = 1e-12
-# largest geodesic step tried; an accepted step doubles up to it
+# first trial step of a restart; an accepted step seeds the next at twice its size
 STEP_INIT = 0.5
-# stall tolerance on per-iteration gains, and the skip margin below M = 1
+# skip margin below M = 1
 OBJECTIVE_TOL = 1e-12
-STALL_ITERATIONS = 10
 # fraction of the slope ||G||_F^2 that an accepted step must realise
 ARMIJO = 0.5
 
@@ -39,9 +42,8 @@ ARMIJO = 0.5
 class SearchConfig:
     """Knobs of the incompatibility ascent.
 
-    ``tol_mub`` is the unbiasedness certificate tolerance, kept apart from
-    the stall tolerance ``OBJECTIVE_TOL`` because certifying overlaps is
-    much more demanding than stalling.
+    ``tol_mub`` is the unbiasedness certificate tolerance on the squared
+    overlaps, in [1e-10, 1/d): at 1/d a zero overlap would pass.
     """
 
     dim: int
@@ -51,14 +53,13 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol_mub < 1e-10:
-            raise ValueError(f"tol_mub must be >= 1e-10, got {self.tol_mub}")
+        for name, least in (("dim", 2), ("restarts", 1), ("max_iters", 1), ("seed", 0)):
+            value = getattr(self, name)
+            integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not integral or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not 1e-10 <= self.tol_mub < 1.0 / self.dim:
+            raise ValueError(f"tol_mub must lie in [1e-10, 1/dim), got {self.tol_mub!r}")
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,11 @@ def mub_certificate(
 ) -> tuple[bool, float]:
     """Check unbiasedness: is every squared overlap within ``tol`` of 1/d?
 
-    Returns the verdict together with the worst overlap deviation.
+    Returns the verdict together with the worst overlap deviation. A
+    negative or non-finite ``tol`` raises ``ValueError``.
     """
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     _require_same_dim(first.dim, second.dim)
     deviations = np.abs(transition_matrix(first, second) - 1.0 / first.dim)
     max_deviation = float(deviations.max())
@@ -110,23 +114,24 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
     Each iteration takes the analytic Euclidean gradient of
     M(U) = (d - sum |(F^H U)_jk|^4) / (d - 1), with F the fixed basis,
     turns it into the skew-Hermitian Riemannian gradient G on U(d), and
-    diagonalizes iG once. Backtracking trials move along the geodesic
-    exp(mu G) U, halving mu down to a floor of 1e-12 until the Armijo
-    condition M(mu) - M >= mu ||G||_F^2 / 2 holds; the accepted step is
-    carried over (doubled, capped at ``STEP_INIT`` = 0.5) to seed the next
-    search. Trial points are scored by the same squared-overlap form as
-    ``measurement_incompatibility``, so an accepted trial keeps its score;
-    it is rebuilt as an ``ObservableBasis``, which checks its Gram matrix.
-    A restart triggers after ten consecutive iterations with improvements
-    below ``OBJECTIVE_TOL`` = 1e-12. The first start is the computational
-    basis; restart k >= 1 starts from the k-th Haar-random basis
-    ``random_observable_basis(d, rng)`` of one ``default_rng(seed)``
-    stream. Runs are deterministic for a given seed, and remaining restarts
-    are skipped once the objective is within ``OBJECTIVE_TOL`` of its
-    maximum. When the fixed basis is the computational one, the first start
-    is a critical point (G = 0) and that restart stalls at once. The
-    returned basis is the best across restarts, ties resolved toward the
-    earlier restart.
+    diagonalizes iG once, eigenvalues lambda. Backtracking trials move along
+    the geodesic exp(mu G) U, halving mu down to a floor of 1e-12 until the
+    Armijo condition M(mu) - M >= mu ||G||_F^2 / 2 holds. The first trial
+    step is the smaller of the period bound pi / (2 max|lambda|) and the
+    step seed: ``STEP_INIT`` = 0.5 at the start of a restart, then twice the
+    last accepted step. Trial points are scored by the same squared-overlap
+    form as ``measurement_incompatibility``, so an accepted trial keeps its
+    score. A restart ends at its first failed line search, which would
+    repeat unchanged, or at once when ||G||_F^2 is exactly 0; its last
+    iterate is then built as an ``ObservableBasis``, which checks its Gram
+    matrix. The first start is the computational basis; restart k >= 1
+    starts from the k-th Haar-random basis ``random_observable_basis(d, rng)``
+    of one ``default_rng(seed)`` stream. Runs are deterministic for a given
+    seed, and remaining restarts are skipped once the objective is within
+    ``OBJECTIVE_TOL`` = 1e-12 of its maximum. When the fixed basis is the
+    computational one, the first start is a critical point (G = 0) and that
+    restart ends at once. The returned basis is the best across restarts,
+    ties resolved toward the earlier restart.
     """
     _require_same_dim(fixed.dim, config.dim)
     d = config.dim
@@ -143,41 +148,38 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
             break
         restarts_used += 1
         if restart == 0:
-            basis = ObservableBasis.computational(d)
+            unitary = np.eye(d, dtype=complex)
         else:
-            basis = random_observable_basis(d, rng)
-        current = measurement_incompatibility(fixed, basis)
+            unitary = random_observable_basis(d, rng).vectors
+        current = _overlap_form(np.abs(fixed_dagger @ unitary) ** 2)
         trajectory.append((0, current))
-        stall = 0
         step_seed = STEP_INIT
 
         for iteration in range(1, config.max_iters + 1):
-            unitary = basis.vectors
             # exp(mu G) = V diag(exp(-i mu lam)) V^H from one eigh of iG
             lam, vecs = np.linalg.eigh(1j * _riemannian_gradient(fixed.vectors, unitary))
             slope = float(lam @ lam)
+            if slope == 0.0:
+                break
             rotated = vecs.conj().T @ unitary
-
-            improved = 0.0
-            step = step_seed
+            step = min(step_seed, np.pi / (2.0 * float(np.abs(lam).max())))
             while step >= STEP_FLOOR:
                 trial = (vecs * np.exp(-1j * step * lam)) @ rotated
                 value = _overlap_form(np.abs(fixed_dagger @ trial) ** 2)
                 gain = value - current
                 if gain > 0.0 and gain >= ARMIJO * step * slope:
-                    improved = gain
-                    basis, current = ObservableBasis(trial), value
-                    step_seed = min(2.0 * step, STEP_INIT)
+                    unitary, current = trial, value
+                    step_seed = 2.0 * step
                     break
                 step /= 2.0
             trajectory.append((iteration, current))
-            stall = stall + 1 if improved < OBJECTIVE_TOL else 0
-            if stall >= STALL_ITERATIONS:
+            if step < STEP_FLOOR:
                 break
 
+        # every restart's last iterate passes the Gram check, best or not
+        basis = ObservableBasis(unitary)
         if current > best_value:
-            best_value = current
-            best_basis = basis
+            best_value, best_basis = current, basis
 
     certified, _ = mub_certificate(fixed, best_basis, config.tol_mub)
     return SearchResult(

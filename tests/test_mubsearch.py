@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import qincompat.mubsearch as mubsearch
 from qincompat.core import ObservableBasis, random_observable_basis
 from qincompat.measures import measurement_incompatibility
 from qincompat.mubsearch import (
@@ -38,6 +39,13 @@ class TestMubCertificate:
             ObservableBasis.computational(2), qubit_basis(math.pi / 3), 1e-8
         )
         assert deviation == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
+    def test_rejects_a_negative_or_non_finite_tolerance(self, tol):
+        # a NaN tolerance used to return (False, deviation) without a word
+        basis = ObservableBasis.computational(2)
+        with pytest.raises(ValueError):
+            mub_certificate(basis, ObservableBasis.fourier(2), tol)
 
 
 class TestMaximizeIncompatibility:
@@ -128,6 +136,49 @@ class TestMaximizeIncompatibility:
         with pytest.raises(ValueError):
             SearchConfig(dim=2, tol_mub=1e-12)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            # tol_mub = inf certified the computational basis as unbiased to itself
+            dict(dim=2, tol_mub=math.inf),
+            dict(dim=2, tol_mub=math.nan),
+            # at 1/d a zero overlap would pass the certificate
+            dict(dim=4, tol_mub=0.25),
+            dict(dim=2.5),
+            dict(dim=True),
+            dict(dim=2, restarts=True),
+            dict(dim=2, restarts=2.5),
+            dict(dim=2, max_iters=False),
+            dict(dim=2, max_iters=30.0),
+            # default_rng(True) would run as seed 1
+            dict(dim=2, seed=True),
+            dict(dim=2, seed=2.5),
+            dict(dim=2, seed=-1),
+        ],
+        ids=[
+            "tol_mub-inf",
+            "tol_mub-nan",
+            "tol_mub-one-over-d",
+            "dim-float",
+            "dim-bool",
+            "restarts-bool",
+            "restarts-float",
+            "max_iters-bool",
+            "max_iters-float",
+            "seed-bool",
+            "seed-float",
+            "seed-negative",
+        ],
+    )
+    def test_config_fails_closed(self, fields):
+        with pytest.raises(ValueError):
+            SearchConfig(**fields)
+
+    def test_config_accepts_numpy_integers(self):
+        config = SearchConfig(dim=np.int64(3), restarts=np.int32(2), max_iters=np.int64(5))
+        result = maximize_incompatibility(ObservableBasis.computational(3), config)
+        assert result.restarts_used >= 1
+
 
 class TestRiemannianAscent:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -186,3 +237,59 @@ class TestRiemannianAscent:
         config = SearchConfig(dim=d, restarts=restarts, max_iters=max_iters, seed=0)
         result = maximize_incompatibility(ObservableBasis.computational(d), config)
         assert 1.0 - result.objective < 1e-10
+
+
+class TestNoDeadWork:
+    def test_criterion_8_skips_restarts(self):
+        # every restart used to stall just above 1 - M = 1e-12, so the skip
+        # rule never fired and all 12 restarts ran
+        config = SearchConfig(dim=5, restarts=12, max_iters=1200, seed=0)
+        result = maximize_incompatibility(ObservableBasis.computational(5), config)
+        assert result.restarts_used < 12
+        assert 1.0 - result.objective <= mubsearch.OBJECTIVE_TOL
+
+    def test_critical_start_scores_no_trial(self, monkeypatch):
+        # the computational start against the computational basis has G = 0;
+        # it used to back off 39 halvings on each of ten iterations
+        calls = []
+        score = mubsearch._overlap_form
+        draw = mubsearch.random_observable_basis
+
+        def counting_score(trans):
+            calls.append("score")
+            return score(trans)
+
+        def counting_draw(dim, rng):
+            calls.append("draw")
+            return draw(dim, rng)
+
+        monkeypatch.setattr(mubsearch, "_overlap_form", counting_score)
+        monkeypatch.setattr(mubsearch, "random_observable_basis", counting_draw)
+        config = SearchConfig(dim=2, restarts=20, tol_mub=1e-6, seed=3)
+        result = maximize_incompatibility(ObservableBasis.computational(2), config)
+        assert result.restarts_used >= 2
+        # the start's own score and nothing else before the first Haar draw
+        assert calls.index("draw") == 1
+        # and its restart records the start alone
+        assert result.trajectory[0] == (0, 0.0)
+        assert result.trajectory[1][0] == 0
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_restarts_end_without_repeated_searches(self, d, seed):
+        # a failed line search leaves the iterate and the step seed as they
+        # were, so the restart ends there instead of repeating it
+        fixed = random_observable_basis(d, np.random.default_rng(400 + seed))
+        config = SearchConfig(dim=d, restarts=4, max_iters=300, seed=seed)
+        result = maximize_incompatibility(fixed, config)
+        restarts = []
+        for iteration, value in result.trajectory:
+            if iteration == 0:
+                restarts.append([])
+            restarts[-1].append(value)
+        assert len(restarts) == result.restarts_used
+        for values in restarts:
+            repeats = sum(1 for a, b in zip(values, values[1:]) if a == b)
+            assert repeats <= 1
+            if repeats:
+                assert values[-1] == values[-2]

@@ -38,11 +38,19 @@ from qincompat.measures import (
     leakage_ratio,
     measurement_incompatibility,
 )
+from qincompat.mubsearch import SearchConfig, maximize_incompatibility, mub_certificate
 from qincompat.protocol import stinespring_ledger
 
 U = np.finfo(float).eps / 2
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None)
+
+
+def small_rotation(d: int, angle: float, rng: np.random.Generator) -> np.ndarray:
+    """exp(i angle H) for a Hermitian H with standard-normal entries."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    vals, vecs = np.linalg.eigh((g + g.conj().T) / 2.0)
+    return (vecs * np.exp(1j * angle * vals)) @ vecs.conj().T
 
 
 @st.composite
@@ -57,10 +65,7 @@ def contexts(draw) -> Context:
     rho = (1.0 - mixing) * np.outer(ket, ket.conj()) + mixing * np.eye(d) / d
 
     first = random_observable_basis(d, rng)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    vals, vecs = np.linalg.eigh((g + g.conj().T) / 2.0)
-    rotation = (vecs * np.exp(1j * rotation_angle * vals)) @ vecs.conj().T
-    second = ObservableBasis(rotation @ first.vectors)
+    second = ObservableBasis(small_rotation(d, rotation_angle, rng) @ first.vectors)
     return Context(DensityMatrix(rho), first, second)
 
 
@@ -198,3 +203,68 @@ def test_bloch_round_trip_and_frame_identity(ctx):
     )
     # x_j . y_k = (d T_jk - 1) / (d - 1)
     assert np.max(np.abs(xs @ ys.T - (d * trans - 1) / (d - 1))) <= slack
+
+
+@st.composite
+def basis_pairs(draw) -> tuple[ObservableBasis, ObservableBasis]:
+    """A Haar basis and a partner at d = 2..16: the basis itself, its Fourier
+    transform (unbiased to it) or another Haar basis, each turned by
+    exp(i delta H) with delta <= 1e-6, so both ends of M are drawn."""
+    d = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    first = random_observable_basis(d, rng)
+    partner = draw(st.sampled_from(["same", "fourier", "haar"]))
+    if partner == "same":
+        second = first.vectors
+    elif partner == "fourier":
+        second = first.vectors @ ObservableBasis.fourier(d).vectors
+    else:
+        second = random_observable_basis(d, rng).vectors
+    return first, ObservableBasis(small_rotation(d, draw(st.floats(0.0, 1e-6)), rng) @ second)
+
+
+@PROPERTY_SETTINGS
+@given(basis_pairs())
+def test_overlap_residuals_sum_to_the_incompatibility_deficit(pair):
+    # sum_jk (T_jk - 1/d)^2 = sum T^2 - (2/d) sum T + 1 = (d - 1)(1 - M)
+    # whenever sum T = d, so a root of the residuals is a maximum of M
+    first, second = pair
+    d = first.dim
+    trans = transition_matrix(first, second)
+    residuals = float(np.sum((trans - 1.0 / d) ** 2))
+    deficit = (d - 1) * (1.0 - measurement_incompatibility(first, second))
+    # both sides read the same T: each sums d^2 rounded terms of a total
+    # below d + 1, and the unitarity defect of the bases enters through
+    # (2/d)(sum T - d)
+    slack = 2 * (d**2 + 4) * (d + 1) * U + 2 * abs(float(trans.sum()) - d) / d
+    assert abs(residuals - deficit) <= slack
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(
+    st.integers(2, 6),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(1, 60),
+    st.floats(-10.0, -3.0),
+    st.integers(0, 2**31 - 1),
+)
+def test_search_invariants(d, fixed_seed, restarts, max_iters, log_tol, seed):
+    fixed = random_observable_basis(d, np.random.default_rng(fixed_seed))
+    config = SearchConfig(
+        dim=d, restarts=restarts, max_iters=max_iters, tol_mub=10.0**log_tol, seed=seed
+    )
+    result = maximize_incompatibility(fixed, config)
+
+    values = [value for _, value in result.trajectory]
+    assert sum(1 for iteration, _ in result.trajectory if iteration == 0) == result.restarts_used
+    for (iteration, value), (previous_iteration, previous) in zip(
+        result.trajectory[1:], result.trajectory
+    ):
+        if iteration != 0:
+            assert iteration == previous_iteration + 1
+            assert value >= previous
+    assert result.objective == max(values)
+    assert abs(result.objective - measurement_incompatibility(fixed, result.best_basis)) <= 1e-12
+    certified, _ = mub_certificate(fixed, result.best_basis, config.tol_mub)
+    assert result.certified_mub == certified
