@@ -2,10 +2,8 @@
 
 from .bloch import (
     BlochVector,
-    GeneratorSet,
     basis_to_bloch_frame,
     bloch_to_state,
-    build_generators,
     geometric_context_incompatibility,
     geometric_leakage_ratio,
     geometric_maps,

@@ -1,4 +1,11 @@
-"""Generalized Bloch representation over SU(d) generators.
+"""Generalized Bloch representation in generalized Gell-Mann coordinates.
+
+The d^2 - 1 generators G_i are traceless, Hermitian and normalized to
+Tr(G_i G_j) = 2 delta_ij: the symmetric off-diagonal block, then the
+antisymmetric block (both lexicographic in the index pair a < b), then the
+diagonal block; at d = 2 they are the Pauli matrices in order. Each
+coordinate Tr(G_i M) is read straight off the entries of M (Bertlmann &
+Krammer, J. Phys. A 41, 235303, 2008), so no generator is ever built.
 
 States map to real vectors of length d^2 - 1, projectors to unit frame
 vectors, and the dephasing channels to projections onto those frames. The
@@ -26,20 +33,6 @@ from .measures import ZERO_INFO_NORM_TOL
 
 BALL_TOL = 1e-10
 UNIT_NORM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """The d^2 - 1 SU(d) generators and the radius normalization.
-
-    ``generators`` has shape (d^2-1, d, d); each matrix is traceless,
-    Hermitian and normalized to Tr(G_i G_j) = 2 delta_ij. ``c_d`` is the
-    radius normalization sqrt(d(d-1)/2).
-    """
-
-    dim: int
-    generators: np.ndarray
-    c_d: float
 
 
 @dataclass(frozen=True)
@@ -75,71 +68,59 @@ class BlochVector:
         return float(np.linalg.norm(self.r))
 
 
-def build_generators(dim: int) -> GeneratorSet:
-    """Generalized Gell-Mann construction.
+def _radius(d: int) -> float:
+    """The radius normalization C_d = sqrt(d(d-1)/2)."""
+    return math.sqrt(d * (d - 1) / 2.0)
 
-    Ordering is the symmetric off-diagonal block, then the antisymmetric
-    block (both lexicographic in the index pair), then the diagonal block.
-    For d = 2 this yields the Pauli matrices in their conventional order.
-    The generator array is read-only.
-    """
-    if dim < 2:
-        raise ValueError(f"need dim >= 2, got {dim}")
-    mats = []
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[a, b] = 1.0
-            m[b, a] = 1.0
-            mats.append(m)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[a, b] = -1.0j
-            m[b, a] = 1.0j
-            mats.append(m)
-    for level in range(1, dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[np.arange(level), np.arange(level)] = 1.0
-        m[level, level] = -float(level)
-        mats.append(m * math.sqrt(2.0 / (level * (level + 1))))
-    return GeneratorSet(
-        dim=dim,
-        generators=_frozen(np.stack(mats)),
-        c_d=math.sqrt(dim * (dim - 1) / 2.0),
+
+def _diagonal_weights(d: int) -> np.ndarray:
+    """The (d-1, d) diagonals of the diagonal generators: row l-1 is
+    sqrt(2/(l(l+1))) (1, ..., 1, -l, 0, ..., 0) with l leading ones."""
+    levels = np.arange(1, d)
+    weights = np.tri(d - 1, d)
+    weights[levels - 1, levels] = -levels
+    return weights * np.sqrt(2.0 / (levels * (levels + 1)))[:, None]
+
+
+def _components(mat: np.ndarray) -> np.ndarray:
+    """Tr(G_i M) for every generator, along the last axis for a stack of
+    matrices, read off the entries: M_ab + M_ba, then i(M_ab - M_ba), for
+    each pair a < b in lexicographic order, then the weighted diagonals."""
+    d = mat.shape[-1]
+    a, b = np.triu_indices(d, 1)
+    upper, lower = mat[..., a, b], mat[..., b, a]
+    diag = np.diagonal(mat, axis1=-2, axis2=-1)
+    return np.concatenate(
+        [upper + lower, 1j * (upper - lower), diag @ _diagonal_weights(d).T], axis=-1
     )
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def _operator(u: BlochVector) -> np.ndarray:
+    """U = sum_j u_j G_j, written entry by entry."""
+    d = u.dim
+    a, b = np.triu_indices(d, 1)
+    sym, anti, diag = np.split(u.r, [len(a), 2 * len(a)])
+    mat = np.zeros((d, d), dtype=complex)
+    mat[a, b] = sym - 1j * anti
+    mat[b, a] = sym + 1j * anti
+    mat[np.diag_indices(d)] = diag @ _diagonal_weights(d)
+    return mat
 
 
-def _operator(u: BlochVector, gens: GeneratorSet) -> np.ndarray:
-    """U = sum_j u_j G_j."""
-    return np.tensordot(u.r, gens.generators, axes=1)
-
-
-def _components(mat: np.ndarray, gens: GeneratorSet) -> np.ndarray:
-    """Tr(G_i M) for every generator, along the last axis for a stack of
-    matrices."""
-    return np.einsum("iab,...ba->...i", gens.generators, mat)
-
-
-def wedge(u: BlochVector, v: BlochVector, gens: GeneratorSet) -> BlochVector:
+def wedge(u: BlochVector, v: BlochVector) -> BlochVector:
     """Antisymmetric product (u ^ v)_i = sum f_ijk u_j v_k.
 
     Computed as Tr(G_i [U, V]) / 4i with U = sum u_j G_j, which equals the
     structure-constant form without building f. For d = 2 this is the
     ordinary cross product.
     """
-    _require_same_dim(u.dim, v.dim, gens.dim)
-    big_u, big_v = _operator(u, gens), _operator(v, gens)
+    _require_same_dim(u.dim, v.dim)
+    big_u, big_v = _operator(u), _operator(v)
     comm = big_u @ big_v - big_v @ big_u
-    return BlochVector(gens.dim, np.real(_components(comm, gens) / 4j))
+    return BlochVector(u.dim, np.real(_components(comm) / 4j))
 
 
-def star(u: BlochVector, v: BlochVector, gens: GeneratorSet) -> BlochVector:
+def star(u: BlochVector, v: BlochVector) -> BlochVector:
     """Symmetric product (u * v)_i = (C_d / (d-2)) sum d_ijk u_j v_k.
 
     Computed as (C_d / (d-2)) Tr(G_i {U, V}) / 4 with U = sum u_j G_j, which
@@ -148,44 +129,43 @@ def star(u: BlochVector, v: BlochVector, gens: GeneratorSet) -> BlochVector:
     identity kills the star term, so the product is defined as the zero
     vector there; this keeps the identity valid at all d.
     """
-    _require_same_dim(u.dim, v.dim, gens.dim)
-    d = gens.dim
+    _require_same_dim(u.dim, v.dim)
+    d = u.dim
     if d == 2:
         return BlochVector(2, np.zeros(3))
-    coeff = gens.c_d / (d - 2)
-    big_u, big_v = _operator(u, gens), _operator(v, gens)
+    coeff = _radius(d) / (d - 2)
+    big_u, big_v = _operator(u), _operator(v)
     anti = big_u @ big_v + big_v @ big_u
-    return BlochVector(d, coeff * np.real(_components(anti, gens)) / 4.0)
+    return BlochVector(d, coeff * np.real(_components(anti)) / 4.0)
 
 
-def state_to_bloch(rho: DensityMatrix, gens: GeneratorSet) -> BlochVector:
+def state_to_bloch(rho: DensityMatrix) -> BlochVector:
     """Components r_i = (d / 2 C_d) Tr(rho G_i)."""
-    _require_same_dim(rho.dim, gens.dim)
-    scale = gens.dim / (2.0 * gens.c_d)
-    return BlochVector(gens.dim, scale * np.real(_components(rho.entries, gens)))
+    d = rho.dim
+    return BlochVector(d, d / (2.0 * _radius(d)) * np.real(_components(rho.entries)))
 
 
-def bloch_to_state(r: BlochVector, gens: GeneratorSet) -> DensityMatrix:
+def bloch_to_state(r: BlochVector) -> DensityMatrix:
     """rho = (1/d)(identity + C_d r . Lambda); rejects unphysical vectors.
 
     Ball membership alone is not enough for d > 2: the reconstructed matrix
     must pass the positivity validation of DensityMatrix.
     """
-    _require_same_dim(r.dim, gens.dim)
-    d = gens.dim
-    mat = (np.eye(d, dtype=complex) + gens.c_d * _operator(r, gens)) / d
+    d = r.dim
+    mat = (np.eye(d, dtype=complex) + _radius(d) * _operator(r)) / d
     return DensityMatrix(mat)
 
 
-def basis_to_bloch_frame(basis: ObservableBasis, gens: GeneratorSet) -> np.ndarray:
+def basis_to_bloch_frame(basis: ObservableBasis) -> np.ndarray:
     """Frame of the eigenprojectors: a read-only (d, d^2-1) array whose row j
     is the Bloch vector x_j of the j-th projector.
 
     The rows sum to zero and satisfy x_i . x_j = (d delta_ij - 1)/(d - 1).
     """
-    _require_same_dim(basis.dim, gens.dim)
-    scale = gens.dim / (2.0 * gens.c_d)
-    return _frozen(scale * np.real(_components(basis.projectors(), gens)))
+    d = basis.dim
+    frame = d / (2.0 * _radius(d)) * np.real(_components(basis.projectors()))
+    frame.setflags(write=False)
+    return frame
 
 
 def _frame(rows, d: int) -> np.ndarray:
@@ -250,7 +230,7 @@ def geometric_leakage_ratio(
 def geometric_measurement_incompatibility(xframe: np.ndarray, yframe: np.ndarray) -> float:
     """1 - ((d-1)/d^2) sum_jk (x_j . y_k)^2, clamped to [0, 1] against
     rounding at either end."""
-    d = len(xframe)
+    d = np.shape(xframe)[0] if np.ndim(xframe) else 0
     dots = _frame(xframe, d) @ _frame(yframe, d).T
     value = 1.0 - (d - 1) / d**2 * float(np.sum(dots**2))
     return min(max(value, 0.0), 1.0)
@@ -269,6 +249,8 @@ def qubit_measures(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     for vec, name in ((r, "state vector"), (x, "x axis"), (y, "y axis")):
+        if vec.shape != (3,):
+            raise DimensionMismatchError(f"{name} has shape {vec.shape}, not (3,)")
         if not np.isfinite(vec).all():
             raise InvariantViolationError(f"{name} has non-finite entries")
     for axis, name in ((x, "x"), (y, "y")):

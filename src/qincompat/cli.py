@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .bloch import basis_to_bloch_frame, build_generators, geometric_maps, state_to_bloch
+from .bloch import basis_to_bloch_frame, geometric_maps, state_to_bloch
 from .core import Context, DensityMatrix, ObservableBasis
 from .errors import DimensionMismatchError, InvariantViolationError
 from .measures import incompatibility_report
@@ -220,10 +220,9 @@ def cmd_mub(args) -> int:
 
 def cmd_bloch(args) -> int:
     ctx = load_context_document(args.input)
-    gens = build_generators(ctx.dim)
-    r = state_to_bloch(ctx.state, gens)
-    xs = basis_to_bloch_frame(ctx.first, gens)
-    ys = basis_to_bloch_frame(ctx.second, gens)
+    r = state_to_bloch(ctx.state)
+    xs = basis_to_bloch_frame(ctx.first)
+    ys = basis_to_bloch_frame(ctx.second)
     u, v = geometric_maps(r, xs, ys)
     payload = {
         "r": [_fixed(c) for c in r.r],

@@ -194,6 +194,9 @@ def probability_vector(values: np.ndarray) -> np.ndarray:
     of one.
     """
     probs = np.asarray(values, dtype=float)
+    # the range checks below are false for NaN, so test finiteness first
+    if not np.isfinite(probs).all():
+        raise InvariantViolationError("probabilities have non-finite entries")
     if np.min(probs) < -PROBABILITY_CLIP:
         raise InvariantViolationError(
             f"probability {np.min(probs):.3e} is negative"
@@ -209,6 +212,9 @@ def probability_vector(values: np.ndarray) -> np.ndarray:
 def shannon_entropy(probabilities: np.ndarray) -> float:
     """H(p) = -sum p ln p in nats, with the 0 ln 0 = 0 convention."""
     probs = np.asarray(probabilities, dtype=float)
+    # the > 0 filter below would drop a NaN silently
+    if not np.isfinite(probs).all():
+        raise InvariantViolationError("probabilities have non-finite entries")
     probs = probs[probs > 0.0]
     return float(-(probs * np.log(probs)).sum())
 

@@ -5,16 +5,16 @@ from the distributions (p, T, q), and checks free operations on d^2 x d^2
 transfer matrices. The routes here build the operators instead: projector
 commutators and products, dephased density matrices and their relative
 entropy, the d^2 x d^2 controlled-shift dilation, Kraus operators applied to
-each matrix unit, and the dense SU(d) structure tensors behind the Bloch
-layer's wedge and star products. The tests compare the library against
-them, each to the tolerance named below.
+each matrix unit, and the dense generalized Gell-Mann matrices with the
+SU(d) structure tensors behind the Bloch layer's coordinates and its wedge
+and star products. The tests compare the library against them, each to the
+tolerance named below.
 """
 
 import math
 
 import numpy as np
 
-from qincompat.bloch import GeneratorSet
 from qincompat.core import (
     Context,
     DensityMatrix,
@@ -237,12 +237,44 @@ def matrix_unit_verdict(
     return None
 
 
-def structure_tensors(gens: GeneratorSet) -> tuple[np.ndarray, np.ndarray]:
+def gell_mann(d: int) -> np.ndarray:
+    """The d^2 - 1 generalized Gell-Mann matrices as a read-only (d^2-1, d, d)
+    stack, built one by one: the symmetric off-diagonal block, then the
+    antisymmetric block (both lexicographic in the index pair), then the
+    diagonal block. Each is traceless and Hermitian with
+    Tr(G_i G_j) = 2 delta_ij; for d = 2 they are the Pauli matrices in order.
+    The Bloch layer reads Tr(G_i M) off the entries of M instead."""
+    if d < 2:
+        raise ValueError(f"need d >= 2, got {d}")
+    mats = []
+    for a in range(d):
+        for b in range(a + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[a, b] = 1.0
+            m[b, a] = 1.0
+            mats.append(m)
+    for a in range(d):
+        for b in range(a + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[a, b] = -1.0j
+            m[b, a] = 1.0j
+            mats.append(m)
+    for level in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        m[np.arange(level), np.arange(level)] = 1.0
+        m[level, level] = -float(level)
+        mats.append(m * math.sqrt(2.0 / (level * (level + 1))))
+    gens = np.stack(mats)
+    gens.setflags(write=False)
+    return gens
+
+
+def structure_tensors(d: int) -> tuple[np.ndarray, np.ndarray]:
     """(f, dsym): the totally antisymmetric and totally symmetric rank-3
     structure tensors f_ijk = Tr([G_i, G_j] G_k) / 4i and
     dsym_ijk = Tr({G_i, G_j} G_k) / 4, both from one pass over
     Tr(G_i G_j G_k). Dense, (d^2-1)^3 reals each: about 1 GiB at d = 16."""
-    g = gens.generators
+    g = gell_mann(d)
     pair = np.einsum("iab,jbc->ijac", g, g)
     triple = np.einsum("ijab,kba->ijk", pair, g)
     del pair

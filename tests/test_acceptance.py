@@ -12,7 +12,6 @@ import pytest
 
 from qincompat.bloch import (
     basis_to_bloch_frame,
-    build_generators,
     geometric_context_incompatibility,
     geometric_leakage_ratio,
     geometric_measurement_incompatibility,
@@ -46,7 +45,7 @@ from qincompat.protocol import (
     stinespring_ledger,
 )
 
-from _oracles import algebraic_incompatibility
+from _oracles import algebraic_incompatibility, gell_mann
 from _util import (
     commuting_context,
     mub_mixture_context,
@@ -139,12 +138,11 @@ def test_criterion_04_qubit_closed_forms():
 
     def body():
         rng = np.random.default_rng(SEED)
-        gens = build_generators(2)
         for _ in range(1000):
             ctx = random_context(2, rng)
-            r = state_to_bloch(ctx.state, gens)
-            x_axis = basis_to_bloch_frame(ctx.first, gens)[0]
-            y_axis = basis_to_bloch_frame(ctx.second, gens)[0]
+            r = state_to_bloch(ctx.state)
+            x_axis = basis_to_bloch_frame(ctx.first)[0]
+            y_axis = basis_to_bloch_frame(ctx.second)[0]
             i_c, m = qubit_measures(r.r, x_axis, y_axis)
             assert abs(i_c - context_incompatibility(ctx)) <= 1e-10
             assert abs(m - measurement_incompatibility(ctx.first, ctx.second)) <= 1e-10
@@ -190,15 +188,16 @@ def test_criterion_07_geometric_equivalence():
     def body():
         rng = np.random.default_rng(SEED)
         for d in (2, 3, 4):
-            gens = build_generators(d)
             n = d * d - 1
-            gram = np.einsum("iab,jba->ij", gens.generators, gens.generators)
+            gens = gell_mann(d)
+            c_d = math.sqrt(d * (d - 1) / 2)
+            gram = np.einsum("iab,jba->ij", gens, gens)
             assert np.max(np.abs(gram - 2 * np.eye(n))) <= 1e-10
             for _ in range(100):
                 ctx = random_context(d, rng)
-                r = state_to_bloch(ctx.state, gens)
-                xframe = basis_to_bloch_frame(ctx.first, gens)
-                yframe = basis_to_bloch_frame(ctx.second, gens)
+                r = state_to_bloch(ctx.state)
+                xframe = basis_to_bloch_frame(ctx.first)
+                yframe = basis_to_bloch_frame(ctx.second)
 
                 assert abs(
                     geometric_context_incompatibility(r, xframe, yframe)
@@ -218,16 +217,12 @@ def test_criterion_07_geometric_equivalence():
                     ctx.state.purity() - (1 + (d - 1) * r.norm() ** 2) / d
                 ) <= 1e-10
 
-                other = state_to_bloch(random_density_matrix(d, rng), gens)
-                left = np.tensordot(r.r, gens.generators, 1) @ np.tensordot(
-                    other.r, gens.generators, 1
-                )
+                other = state_to_bloch(random_density_matrix(d, rng))
+                left = np.tensordot(r.r, gens, 1) @ np.tensordot(other.r, gens, 1)
                 right = (
                     2.0 / d * float(r.r @ other.r) * np.eye(d)
-                    + 1j * np.tensordot(wedge(r, other, gens).r, gens.generators, 1)
-                    + (d - 2)
-                    / gens.c_d
-                    * np.tensordot(star(r, other, gens).r, gens.generators, 1)
+                    + 1j * np.tensordot(wedge(r, other).r, gens, 1)
+                    + (d - 2) / c_d * np.tensordot(star(r, other).r, gens, 1)
                 )
                 assert np.max(np.abs(left - right)) <= 1e-10
 

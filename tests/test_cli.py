@@ -276,7 +276,7 @@ class TestNumericalFailures:
             ("measure", "incompatibility_report", 5),
             ("protocol", "stinespring_ledger", 5),
             ("mub", "maximize_incompatibility", 6),
-            ("bloch", "build_generators", 7),
+            ("bloch", "basis_to_bloch_frame", 7),
         ],
     )
     @pytest.mark.parametrize(
@@ -439,13 +439,56 @@ class TestDocumentValidation:
 class TestReadmeExample:
     ROOT = Path(__file__).resolve().parents[1]
     EXAMPLE = ROOT / "examples" / "context-d2.json"
+    # the exact stdout of each command on the example
+    STDOUT = {
+        "measure": (
+            '{"i_context": 0.69314718056, "i_initial": 0.69314718056, '
+            '"i_final": 1.11022302463e-16, "ratio": 1.0, "m_measurement": 1.0, '
+            '"classification": "RESOURCEFUL"}\n'
+        ),
+        "sweep": (
+            "epsilon,i_initial,i_final,ratio\n"
+            "0.0001,5.00000000833e-09,0.0,1.0\n"
+            "0.000162377673919,1.31832545516e-08,0.0,1.0\n"
+            "0.000263665089873,3.47596402116e-08,0.0,1.0\n"
+            "0.000428133239872,9.16490383414e-08,0.0,1.0\n"
+            "0.000695192796178,2.41646531393e-07,0.0,1.0\n"
+            "0.00112883789168,6.37137628166e-07,0.0,1.0\n"
+            "0.00183298071083,1.67991008384e-06,0.0,1.0\n"
+            "0.00297635144163,4.42934049174e-06,0.0,1.0\n"
+            "0.00483293023857,1.16786528092e-05,0.0,1.0\n"
+            "0.00784759970351,3.07927266186e-05,0.0,1.0\n"
+            "0.012742749857,8.11910343112e-05,0.0,1.0\n"
+            "0.0206913808111,0.000214081897392,0.0,1.0\n"
+            "0.0335981828628,0.000564525183402,0.0,1.0\n"
+            "0.0545559478117,0.00148891482343,0.0,1.0\n"
+            "0.088586679041,0.00392894809801,0.0,1.0\n"
+            "0.143844988829,0.0103816667804,0.0,1.0\n"
+            "0.233572146909,0.0275315795502,0.0,1.0\n"
+            "0.379269019073,0.0737543923494,0.0,1.0\n"
+            "0.615848211066,0.203928109444,0.0,1.0\n"
+            "1.0,0.69314718056,0.0,1.0\n"
+        ),
+        "protocol": (
+            '{"i_initial": 0.69314718056, "i_final": 1.11022302463e-16, '
+            '"delta_apparatus": -0.69314718056, "mutual_info": 1.38629436112}\n'
+        ),
+        "bloch": (
+            '{"r": [0.0, 0.0, 1.0], "u": [0.0, 0.0, 1.0], "v": [0.0, 0.0, 0.0], '
+            '"x_frame": [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], '
+            '"y_frame": [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], '
+            '"xx_dots": [[1.0, -1.0], [-1.0, 1.0]], '
+            '"yy_dots": [[1.0, -1.0], [-1.0, 1.0]], '
+            '"xy_dots": [[0.0, 0.0], [0.0, 0.0]]}\n'
+        ),
+    }
 
     def test_readme_shows_the_example_file(self):
         readme = (self.ROOT / "README.md").read_text(encoding="utf-8")
         block = readme.split("```json\n", 1)[1].split("```", 1)[0]
         assert block == self.EXAMPLE.read_text(encoding="utf-8")
 
-    @pytest.mark.parametrize("command", ["measure", "bloch"])
+    @pytest.mark.parametrize("command", ["measure", "sweep", "protocol", "bloch"])
     def test_example_is_accepted(self, command, capsys):
         assert main([command, str(self.EXAMPLE)]) == 0
-        json.loads(capsys.readouterr().out)
+        assert capsys.readouterr().out == self.STDOUT[command]

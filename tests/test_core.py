@@ -353,3 +353,14 @@ class TestProbabilityVector:
     def test_shannon_entropy_handles_zeros(self):
         assert shannon_entropy(np.array([1.0, 0.0])) == 0.0
         assert shannon_entropy(np.array([0.5, 0.5])) == pytest.approx(LN2, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InvariantViolationError, match="non-finite"):
+            probability_vector(np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_shannon_entropy_rejects_non_finite(self, bad):
+        # the 0 ln 0 filter keeps only p > 0, which would drop a NaN unseen
+        with pytest.raises(InvariantViolationError, match="non-finite"):
+            shannon_entropy(np.array([bad, 1.0]))

@@ -7,7 +7,6 @@ import pytest
 
 from qincompat.bloch import (
     basis_to_bloch_frame,
-    build_generators,
     geometric_measurement_incompatibility,
 )
 from qincompat.core import (
@@ -203,13 +202,12 @@ class TestMeasurementIncompatibility:
         # and the d = 2 Fourier pair rounds to 1 + 4e-16
         rng = np.random.default_rng(110)
         for d in (2, 3, 4):
-            gens = build_generators(d)
             for _ in range(30):
                 ctx = commuting_context(d, rng)
                 assert measurement_incompatibility(ctx.first, ctx.second) >= 0.0
                 assert incompatibility_report(ctx).m_measurement >= 0.0
-                xframe = basis_to_bloch_frame(ctx.first, gens)
-                yframe = basis_to_bloch_frame(ctx.second, gens)
+                xframe = basis_to_bloch_frame(ctx.first)
+                yframe = basis_to_bloch_frame(ctx.second)
                 assert geometric_measurement_incompatibility(xframe, yframe) >= 0.0
                 assert eigenstate_ratio(0, ctx.first, ctx.second) >= 0.0
         for d in range(2, 17):

@@ -250,8 +250,19 @@ def test_depolarizing_channel_passes_at_d16():
 
 def test_oracle_routes_are_not_exported():
     import qincompat
+    import qincompat.bloch
     import qincompat.core
 
-    for name in ("coherence_form", "relative_entropy", "algebraic_incompatibility", "sequential_dephase"):
+    for name in (
+        "coherence_form",
+        "relative_entropy",
+        "algebraic_incompatibility",
+        "sequential_dephase",
+        "GeneratorSet",
+        "build_generators",
+    ):
         assert not hasattr(qincompat, name), name
     assert not hasattr(qincompat.core, "hs_norm_sq")
+    # the Bloch layer reads its coordinates off the matrix entries
+    for name in ("GeneratorSet", "build_generators"):
+        assert not hasattr(qincompat.bloch, name), name

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from qincompat.bloch import (
     basis_to_bloch_frame,
     bloch_to_state,
-    build_generators,
     state_to_bloch,
 )
 from qincompat.core import (
@@ -159,8 +158,9 @@ def test_report_ignores_near_degenerate_spectra(ctx, data):
 
 
 def trace_component_error(d: int) -> float:
-    # Tr(A G_i) with ||A||_F <= 1 and ||G_i||_F = sqrt(2) is a d^2-term sum
-    # of complex products, so it is off by at most (d^2 + 4) u sqrt(2)
+    # Tr(A G_i) with ||A||_F <= 1 and ||G_i||_F = sqrt(2) is read off at most
+    # d entries of A, weighted by those of G_i; (d^2 + 4) u sqrt(2), the bound
+    # for a d^2-term sum of complex products, covers it
     return (d**2 + 4) * math.sqrt(2) * U
 
 
@@ -168,12 +168,11 @@ def trace_component_error(d: int) -> float:
 @given(contexts())
 def test_bloch_round_trip_and_frame_identity(ctx):
     d = ctx.dim
-    gens = build_generators(d)
 
-    back = bloch_to_state(state_to_bloch(ctx.state, gens), gens)
+    back = bloch_to_state(state_to_bloch(ctx.state))
     # the rebuilt entry (a, b) is (delta_ab + (d/2) sum_i Tr(rho G_i) G_i[a, b]) / d,
     # and sum_i |G_i[a, b]| <= 2 d, so the trace errors move it by at most
-    # d * trace_component_error plus as much again for the d^2-term sum over i
+    # d * trace_component_error plus as much again for the sum over i
     entry_error = 2 * d * trace_component_error(d) + 4 * U
     # DensityMatrix may clip an eigenvalue pushed below zero by that error (at
     # most d * entry_error in spectral norm), renormalize the spectrum (the same
@@ -181,8 +180,8 @@ def test_bloch_round_trip_and_frame_identity(ctx):
     slack = (2 * d + 1) * entry_error + d**2 * U
     assert np.max(np.abs(back.entries - ctx.state.entries)) <= slack
 
-    xs = basis_to_bloch_frame(ctx.first, gens)
-    ys = basis_to_bloch_frame(ctx.second, gens)
+    xs = basis_to_bloch_frame(ctx.first)
+    ys = basis_to_bloch_frame(ctx.second)
     trans = transition_matrix(ctx.first, ctx.second)
     # for columns with ||x||^2 = 1 + eta the exact dot is
     # (d/(d-1)) (T_jk - ||x_j||^2 ||y_k||^2 / d), so the bases' normalization
