@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DensityMatrix,
-    ObservableBasis,
-    _require_same_dim,
-    binary_entropy,
-    shannon_entropy,
-)
+from .core import DensityMatrix, ObservableBasis, _information, _require_same_dim
 from .errors import DimensionMismatchError, InvariantViolationError, ZeroInformationError
 from .measures import ZERO_INFO_NORM_TOL
 
@@ -48,6 +42,7 @@ class BlochVector:
     r: np.ndarray
 
     def __post_init__(self) -> None:
+        _require_bloch_dim(self.dim)
         vec = np.array(self.r, dtype=float)
         n = self.dim * self.dim - 1
         if vec.shape != (n,):
@@ -66,6 +61,11 @@ class BlochVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.r))
+
+
+def _require_bloch_dim(d: int) -> None:
+    if d < 2:
+        raise DimensionMismatchError(f"the Bloch representation needs d >= 2, got {d}")
 
 
 def _radius(d: int) -> float:
@@ -142,6 +142,7 @@ def star(u: BlochVector, v: BlochVector) -> BlochVector:
 def state_to_bloch(rho: DensityMatrix) -> BlochVector:
     """Components r_i = (d / 2 C_d) Tr(rho G_i)."""
     d = rho.dim
+    _require_bloch_dim(d)
     return BlochVector(d, d / (2.0 * _radius(d)) * np.real(_components(rho.entries)))
 
 
@@ -196,21 +197,16 @@ def geometric_maps(
     return BlochVector(d, u), BlochVector(d, v)
 
 
-def _frame_distribution(frame_rows: np.ndarray, vec: np.ndarray, d: int) -> np.ndarray:
-    probs = (1.0 + (d - 1) * frame_rows @ vec) / d
-    return np.clip(probs, 0.0, None)
-
-
 def geometric_context_incompatibility(
     r: BlochVector, xframe: np.ndarray, yframe: np.ndarray
 ) -> float:
     """Entropy gap between the two measured distributions, straight from
-    the frame geometry."""
+    the frame geometry: p_j = (1 + (d-1) x_j . r)/d, and likewise y_k . u."""
     d = r.dim
     u, _ = geometric_maps(r, xframe, yframe)
-    p_first = _frame_distribution(_frame(xframe, d), r.r, d)
-    p_second = _frame_distribution(_frame(yframe, d), u.r, d)
-    return shannon_entropy(p_second) - shannon_entropy(p_first)
+    rows = (d - 1) * np.stack([_frame(xframe, d) @ r.r, _frame(yframe, d) @ u.r])
+    i_first, i_second = _information(rows).tolist()
+    return i_first - i_second
 
 
 def geometric_leakage_ratio(
@@ -260,6 +256,7 @@ def qubit_measures(
         raise InvariantViolationError("state vector is outside the Bloch ball")
     xr = float(x @ r)
     xy = float(x @ y)
-    i_c = binary_entropy((1.0 + xy * xr) / 2.0) - binary_entropy((1.0 + xr) / 2.0)
-    return i_c, 1.0 - xy**2
+    # the outcome distributions (1 +- x.r)/2 and (1 +- x.y x.r)/2 as deviations
+    i_first, i_second = _information(np.array([[xr, -xr], [xy * xr, -xy * xr]])).tolist()
+    return i_first - i_second, 1.0 - xy**2
 

@@ -219,11 +219,6 @@ def shannon_entropy(probabilities: np.ndarray) -> float:
     return float(-(probs * np.log(probs)).sum())
 
 
-def binary_entropy(nu: float) -> float:
-    """Shannon entropy of a coin with bias ``nu``, in nats."""
-    return shannon_entropy(np.array([nu, 1.0 - nu]))
-
-
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) in nats, computed from the spectrum."""
     return shannon_entropy(rho.eigenvalues())
@@ -231,7 +226,23 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def information(rho: DensityMatrix) -> float:
     """Informational content ln d - S(rho), in [0, ln d]."""
-    return math.log(rho.dim) - von_neumann_entropy(rho)
+    return _information(rho.dim * rho.eigenvalues() - 1.0).tolist()
+
+
+def _information(x: np.ndarray) -> np.ndarray:
+    """ln d - H(p) along the last axis for p = (1 + x)/d: every information in
+    the package, from the deviations x = d p - 1 of a stack of distributions.
+
+    The deviations keep full relative precision near uniform, where ln d - H
+    cancels. Recentering them renormalizes p and removes the first-order
+    sensitivity to the ~1e-15 stochasticity defect of a floating-point
+    transition matrix; entries x <= -1 (p = 0) contribute nothing.
+    """
+    d = x.shape[-1]
+    mean = np.mean(x, axis=-1, keepdims=True)
+    x = (x - mean) / (1.0 + mean)
+    logs = np.log1p(x, out=np.zeros_like(x), where=x > -1.0)
+    return np.sum((1.0 + x) / d * logs, axis=-1)
 
 
 def outcome_probabilities(rho: DensityMatrix, basis: ObservableBasis) -> np.ndarray:

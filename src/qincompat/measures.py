@@ -9,7 +9,8 @@ cases from everything else.
 
 Every context measure is a closed form in the Born distribution p of the
 first basis, the transition matrix T_jk = |<x_j|y_k>|^2 and q = T^T p, all
-computed by ``_distributions``; no dephased state is built for them.
+computed by ``_distributions``; no dephased state is built for them. The
+informations ln d - H(p) and ln d - H(q) are read off ``_deviation_rows``.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .core import (
     Context,
     DensityMatrix,
     ObservableBasis,
+    _information,
     _require_same_dim,
     outcome_probabilities,
-    shannon_entropy,
     transition_matrix,
 )
 from .errors import (
@@ -74,6 +75,13 @@ def _distributions(ctx: Context) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return p, trans, trans.T @ p
 
 
+def _deviation_rows(p: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """The (2, d) deviations alpha = d p - 1 and T^T alpha of p and q, the
+    rows every information of a context is read off."""
+    alpha = len(p) * p - 1.0
+    return np.stack([alpha, trans.T @ alpha])
+
+
 def _overlap_form(trans: np.ndarray) -> float:
     """Measurement incompatibility (d - sum T_jk^2) / (d - 1) of a transition
     matrix, clamped to [0, 1] against rounding at either end."""
@@ -109,13 +117,15 @@ def _leakage(p: np.ndarray, trans: np.ndarray, q: np.ndarray) -> float:
 def context_incompatibility(ctx: Context) -> float:
     """Information consumed by the second measurement, in nats.
 
-    Computed as the Shannon-entropy gap H(q) - H(p) between the composed
-    outcome distribution and the first-measurement distribution. This route
+    The Shannon-entropy gap H(q) - H(p) between the composed outcome
+    distribution and the first-measurement distribution, taken as the
+    information difference that ``incompatibility_report`` reports. This route
     is always finite; the operator relative entropy agrees with it whenever
     that form is finite.
     """
-    p, _, q = _distributions(ctx)
-    return shannon_entropy(q) - shannon_entropy(p)
+    p, trans, _ = _distributions(ctx)
+    i_initial, i_final = _information(_deviation_rows(p, trans)).tolist()
+    return i_initial - i_final
 
 
 def leakage_ratio(ctx: Context) -> float:
@@ -136,10 +146,13 @@ def eigenstate_ratio(j: int, first: ObservableBasis, second: ObservableBasis) ->
 
     Equals (d/(d-1)) times the linear entropy of the dephased projector,
     which only needs one row of the transition matrix; clamped to [0, 1]
-    against rounding at either end.
+    against rounding at either end. A non-integer index, booleans included,
+    raises TypeError.
     """
     _require_same_dim(first.dim, second.dim)
     d = first.dim
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+        raise TypeError(f"eigenstate index must be an integer, got {j!r}")
     if not 0 <= j < d:
         raise IndexError(f"eigenstate index {j} out of range for dimension {d}")
     row = transition_matrix(first, second)[j]
@@ -283,8 +296,7 @@ def monotonicity_check(ctx: Context, kraus: list[np.ndarray]) -> tuple[float, fl
 def incompatibility_report(ctx: Context) -> IncompatibilityReport:
     """Compute every measure of a context from one (p, T, q) evaluation."""
     p, trans, q = _distributions(ctx)
-    i_initial = math.log(ctx.dim) - shannon_entropy(p)
-    i_final = math.log(ctx.dim) - shannon_entropy(q)
+    i_initial, i_final = _information(_deviation_rows(p, trans)).tolist()
     try:
         ratio: float | None = _leakage(p, trans, q)
     except ZeroInformationError:

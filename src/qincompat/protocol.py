@@ -10,6 +10,7 @@ sweeps, the small-noise quadratic expansion, and the finite-strength
 
 The ledger, the sweeps and the expansion are closed forms in the context's
 distributions (p, T, q); no dilation or dephased state is built for them.
+A sweep scales the ledger's deviation rows, so its eps = 1 point equals it.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from .core import (
     Context,
     DensityMatrix,
     ObservableBasis,
+    _information,
     dephase,
-    shannon_entropy,
     von_neumann_entropy,
 )
 from .errors import CrossCheckError, ZeroInformationError
-from .measures import _distributions, _leakage
+from .measures import _deviation_rows, _distributions, _leakage
 
 LEDGER_BALANCE_TOL = 1e-9
 MUTUAL_INFO_FLOOR = -1e-10
@@ -80,18 +81,19 @@ def stinespring_ledger(ctx: Context) -> LedgerEntry:
     controlled cyclic shift in the second observable's eigenbasis, which
     dilates the corresponding dephasing map. The joint state keeps entropy
     H(p) while system and pointer both end with spectrum q, so the pointer
-    changes by -H(q) and the correlations are 2H(q) - H(p). The ledger
-    balance is enforced.
+    changes by -H(q) and the correlations are 2H(q) - H(p): with I = ln d - H
+    the entries are I(p), I(q), I(q) - ln d and ln d + I(p) - 2 I(q). The
+    ledger balance is enforced.
     """
-    p, _, q = _distributions(ctx)
-    entropy_first = shannon_entropy(p)
-    entropy_second = shannon_entropy(q)
+    p, trans, _ = _distributions(ctx)
+    i_initial, i_final = _information(_deviation_rows(p, trans)).tolist()
+    ln_d = math.log(ctx.dim)
     # pointer starts pure: its information change is minus its final entropy
     return LedgerEntry(
-        i_initial=math.log(ctx.dim) - entropy_first,
-        i_final=math.log(ctx.dim) - entropy_second,
-        delta_apparatus=-entropy_second,
-        mutual_info=2.0 * entropy_second - entropy_first,
+        i_initial=i_initial,
+        i_final=i_final,
+        delta_apparatus=i_final - ln_d,
+        mutual_info=ln_d + i_initial - 2.0 * i_final,
     )
 
 
@@ -101,24 +103,6 @@ def apply_noise(rho: DensityMatrix, epsilon: float) -> DensityMatrix:
         raise ValueError(f"noise strength must lie in [0, 1], got {epsilon}")
     d = rho.dim
     return DensityMatrix((1.0 - epsilon) * np.eye(d) / d + epsilon * rho.entries)
-
-
-def _information_from_deviations(x: np.ndarray) -> float:
-    """ln d - H(p) for p_j = (1 + x_j)/d, stable for tiny deviations.
-
-    Working with the deviations keeps full relative precision when the
-    distribution is nearly uniform, where the direct entropy difference
-    cancels catastrophically. The deviations are recentered first, which
-    renormalizes the distribution and removes the first-order sensitivity
-    to the ~1e-15 stochasticity defect of a floating-point transition
-    matrix.
-    """
-    d = len(x)
-    mean = float(np.mean(x))
-    x = (x - mean) / (1.0 + mean)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = (1.0 + x) / d * np.log1p(x)
-    return float(np.sum(np.where(x > -1.0, terms, 0.0)))
 
 
 def noise_sweep(ctx: Context, epsilons: np.ndarray) -> list[NoiseSweepPoint]:
@@ -137,24 +121,24 @@ def noise_sweep(ctx: Context, epsilons: np.ndarray) -> list[NoiseSweepPoint]:
       window for d >= 3;
     * concavity: injected information at strength eps never exceeds eps
       times the noise-free value.
+
+    ``epsilons`` must be a one-dimensional grid (ValueError otherwise).
     """
     eps_values = np.asarray(epsilons, dtype=float)
+    if eps_values.ndim != 1:
+        raise ValueError("noise strengths must form a one-dimensional grid")
     # written so that NaN fails it too
     if not np.all((eps_values > 0.0) & (eps_values <= 1.0)):
         raise ValueError("noise strengths must lie in (0, 1]")
     d = ctx.dim
     p, trans, q = _distributions(ctx)
     base_ratio = _leakage(p, trans, q)  # also rejects the zero-information context
-    alpha = d * p - 1.0
-    beta = trans.T @ alpha
-    i_full = _information_from_deviations(alpha)
+    rows = _deviation_rows(p, trans)
+    i_full = _information(rows[0])
+    infos = _information(eps_values[:, None, None] * rows).tolist()
 
     points = []
-    for eps in eps_values:
-        x_first = eps * alpha
-        x_second = eps * beta
-        i_initial_eps = _information_from_deviations(x_first)
-        i_final_eps = _information_from_deviations(x_second)
+    for eps, (i_initial_eps, i_final_eps) in zip(eps_values.tolist(), infos):
         if i_initial_eps < ZERO_INFORMATION_FLOOR:
             raise ZeroInformationError(
                 f"injected information vanished at noise strength {eps}"
@@ -169,14 +153,7 @@ def noise_sweep(ctx: Context, epsilons: np.ndarray) -> list[NoiseSweepPoint]:
                 )
         if i_initial_eps > eps * i_full + CONCAVITY_SLACK:
             raise CrossCheckError(f"concavity bound violated at eps={eps}")
-        points.append(
-            NoiseSweepPoint(
-                epsilon=float(eps),
-                i_initial_eps=i_initial_eps,
-                i_final_eps=i_final_eps,
-                ratio_eps=ratio_eps,
-            )
-        )
+        points.append(NoiseSweepPoint(eps, i_initial_eps, i_final_eps, ratio_eps))
     return points
 
 

@@ -1,14 +1,15 @@
 """Operator-level reference routes for the closed-form measures.
 
 The library computes every context measure, and the free-context class,
-from the distributions (p, T, q), and checks free operations on d^2 x d^2
-transfer matrices. The routes here build the operators instead: projector
-commutators and products, dephased density matrices and their relative
-entropy, the d^2 x d^2 controlled-shift dilation, Kraus operators applied to
-each matrix unit, and the dense generalized Gell-Mann matrices with the
-SU(d) structure tensors behind the Bloch layer's coordinates and its wedge
-and star products. The tests compare the library against them, each to the
-tolerance named below.
+from the distributions (p, T, q), every information ln d - H(p) from the
+deviations d p - 1, and checks free operations on d^2 x d^2 transfer
+matrices. The routes here take the direct entropy difference instead, and
+build the operators: projector commutators and products, dephased density
+matrices and their relative entropy, the d^2 x d^2 controlled-shift
+dilation, Kraus operators applied to each matrix unit, and the dense
+generalized Gell-Mann matrices with the SU(d) structure tensors behind the
+Bloch layer's coordinates and its wedge and star products. The tests
+compare the library against them, each to the tolerance named below.
 """
 
 import math
@@ -42,6 +43,12 @@ DILATION_TRACE_TOL = 1e-10
 TRANSFER_AGREEMENT_TOL = 1e-12
 SUPPORT_EIGENVALUE_CUTOFF = 1e-12
 SUPPORT_WEIGHT_CUTOFF = 1e-10
+
+
+def direct_information(p: np.ndarray) -> float:
+    """ln d - H(p) as the direct entropy difference, which cancels
+    catastrophically near the uniform distribution."""
+    return math.log(len(p)) - shannon_entropy(p)
 
 
 def hs_norm_sq(matrix: np.ndarray) -> float:

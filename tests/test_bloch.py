@@ -317,6 +317,15 @@ class TestStateConversion:
         with pytest.raises(InvariantViolationError, match="non-finite"):
             BlochVector(2, [bad, 0.0, 0.0])
 
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_vector_below_dimension_two_rejected(self, d):
+        with pytest.raises(DimensionMismatchError, match="d >= 2"):
+            BlochVector(d, np.zeros(max(d * d - 1, 0)))
+
+    def test_state_below_dimension_two_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="d >= 2"):
+            state_to_bloch(DensityMatrix([[1.0]]))
+
 
 class TestBlochFrames:
     def test_qubit_computational_frame(self):

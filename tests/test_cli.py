@@ -443,7 +443,7 @@ class TestReadmeExample:
     STDOUT = {
         "measure": (
             '{"i_context": 0.69314718056, "i_initial": 0.69314718056, '
-            '"i_final": 1.11022302463e-16, "ratio": 1.0, "m_measurement": 1.0, '
+            '"i_final": 0.0, "ratio": 1.0, "m_measurement": 1.0, '
             '"classification": "RESOURCEFUL"}\n'
         ),
         "sweep": (
@@ -470,7 +470,7 @@ class TestReadmeExample:
             "1.0,0.69314718056,0.0,1.0\n"
         ),
         "protocol": (
-            '{"i_initial": 0.69314718056, "i_final": 1.11022302463e-16, '
+            '{"i_initial": 0.69314718056, "i_final": 0.0, '
             '"delta_apparatus": -0.69314718056, "mutual_info": 1.38629436112}\n'
         ),
         "bloch": (

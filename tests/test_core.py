@@ -9,6 +9,7 @@ from qincompat.core import (
     Context,
     DensityMatrix,
     ObservableBasis,
+    _information,
     dephase,
     information,
     outcome_probabilities,
@@ -21,7 +22,7 @@ from qincompat.core import (
 )
 from qincompat.errors import DimensionMismatchError, InvariantViolationError
 
-from _oracles import relative_entropy, sequential_dephase
+from _oracles import direct_information, relative_entropy, sequential_dephase
 from _util import qubit_basis
 
 LN2 = math.log(2.0)
@@ -167,6 +168,43 @@ class TestInformation:
             assert von_neumann_entropy(rho) == pytest.approx(
                 entropy_brute_force(rho.eigenvalues()), abs=1e-12
             )
+
+
+class TestInformationKernel:
+    """``_information`` of the deviations d p - 1 against ln d - H(p)."""
+
+    @staticmethod
+    def distributions(d: int, rng: np.random.Generator) -> list[np.ndarray]:
+        haar = np.abs(random_observable_basis(d, rng).vectors[:, 0]) ** 2
+        pure = np.eye(d)[rng.integers(d)]
+        tilt = rng.standard_normal(d)
+        tilt -= tilt.mean()
+        near_uniform = 1.0 / d + 1e-8 * tilt / np.linalg.norm(tilt)
+        zero_entry = haar.copy()
+        zero_entry[rng.choice(d, size=d // 2, replace=False)] = 0.0
+        zero_entry /= zero_entry.sum()
+        return [haar, pure, near_uniform, zero_entry]
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_matches_the_direct_form(self, d):
+        rng = np.random.default_rng(20 + d)
+        for _ in range(5):
+            for p in self.distributions(d, rng):
+                assert _information(d * p - 1.0) == pytest.approx(
+                    direct_information(p), abs=1e-14
+                )
+
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    def test_a_stack_equals_its_rows(self, d):
+        rng = np.random.default_rng(40 + d)
+        rows = np.array([d * p - 1.0 for p in self.distributions(d, rng)])
+        stack = _information(rows.reshape(2, 2, d))
+        assert stack.shape == (2, 2)
+        assert stack.ravel().tolist() == [_information(x) for x in rows]
+
+    @pytest.mark.parametrize("d", [2, 3, 7, 16])
+    def test_uniform_has_exactly_none(self, d):
+        assert _information(np.zeros(d)) == 0.0
 
 
 class TestDephase:

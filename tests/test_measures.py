@@ -173,6 +173,13 @@ class TestEigenstateRatio:
         with pytest.raises(IndexError):
             eigenstate_ratio(-1, basis, basis)
 
+    def test_index_must_be_an_integer(self):
+        basis = ObservableBasis.computational(3)
+        assert eigenstate_ratio(np.int64(1), basis, basis) == pytest.approx(0.0, abs=1e-12)
+        for bad in (True, np.True_, "0", 0.0, np.float64(1.0)):
+            with pytest.raises(TypeError, match="eigenstate index"):
+                eigenstate_ratio(bad, basis, basis)
+
 
 class TestMeasurementIncompatibility:
     def test_commuting_pairs_vanish(self):

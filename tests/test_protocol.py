@@ -17,7 +17,11 @@ from qincompat.core import (
     von_neumann_entropy,
 )
 from qincompat.errors import ZeroInformationError
-from qincompat.measures import context_incompatibility, leakage_ratio
+from qincompat.measures import (
+    context_incompatibility,
+    incompatibility_report,
+    leakage_ratio,
+)
 from qincompat.protocol import (
     apply_noise,
     default_epsilon_grid,
@@ -191,6 +195,12 @@ class TestNoiseSweep:
         # a NaN strength is out of range, not a vanished injection
         with pytest.raises(ValueError):
             noise_sweep(ctx, np.array([math.nan]))
+        # the grid must be one-dimensional: a scalar and a row matrix are not
+        with pytest.raises(ValueError, match="one-dimensional"):
+            noise_sweep(ctx, 0.5)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            noise_sweep(ctx, [[0.1, 0.2]])
+        assert noise_sweep(ctx, np.array([])) == []
 
     def test_concavity_bounds_hold_on_grid(self):
         rng = np.random.default_rng(211)
@@ -210,6 +220,25 @@ class TestNoiseSweep:
         assert len(grid) == 20
         assert grid[0] == pytest.approx(1e-4)
         assert grid[-1] == pytest.approx(1.0)
+
+
+class TestOneInformationRoute:
+    """The report, the ledger and the sweep read every information off the
+    same deviation rows, so the quantities they share are equal, not close."""
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_shared_informations_are_identical(self, d):
+        rng = np.random.default_rng(400 + d)
+        for pure in (False, True, False, True):
+            ctx = random_context(d, rng, pure=pure)
+            report = incompatibility_report(ctx)
+            point = noise_sweep(ctx, [1.0])[0]
+            ledger = stinespring_ledger(ctx)
+            assert point.i_initial_eps == report.i_initial
+            assert point.i_final_eps == report.i_final
+            assert context_incompatibility(ctx) == report.i_context
+            assert ledger.i_initial == report.i_initial
+            assert ledger.i_final == report.i_final
 
 
 class TestSmallEpsExpansion:
