@@ -4,14 +4,17 @@ Conventions used throughout the package:
 
 * all entropic quantities are in nats (natural logarithm);
 * observable eigenbases are stored as the columns of a unitary matrix;
-* every value is immutable after construction and every function is pure,
-  so everything here is safe to use from concurrent sweeps.
+* values are immutable and functions pure; a context computes its record of
+  distributions once, on first use, and the record is read-only and
+  idempotent, so concurrent sweeps may share a context.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +48,7 @@ class DensityMatrix:
         # every tolerance check below is false for NaN, so test finiteness first
         if not np.isfinite(mat).all():
             raise InvariantViolationError("state matrix has non-finite entries")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
+        if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
             raise InvariantViolationError("state matrix is not Hermitian")
         if abs(mat.trace() - 1.0) > TRACE_TOL:
             raise InvariantViolationError(
@@ -117,8 +120,12 @@ class ObservableBasis:
             raise InvariantViolationError("observables need at least two outcomes")
         if not np.isfinite(cols).all():
             raise InvariantViolationError("eigenvector matrix has non-finite entries")
+        # a unitary's entries have modulus <= 1; a larger one could overflow the Gram product
+        if np.abs(cols).max() > 1.0 + GRAM_TOL:
+            raise InvariantViolationError("eigenvectors are not orthonormal")
         gram = cols.conj().T @ cols
-        if np.max(np.abs(gram - np.eye(d))) > GRAM_TOL:
+        gram.flat[:: d + 1] -= 1.0
+        if np.abs(gram).max() > GRAM_TOL:
             raise InvariantViolationError("eigenvectors are not orthonormal")
         if self.eigenvalues is None:
             vals = np.arange(1, d + 1, dtype=float)
@@ -130,9 +137,10 @@ class ObservableBasis:
             raise InvariantViolationError(
                 f"expected {d} eigenvalues, got shape {vals.shape}"
             )
-        spacing = np.diff(np.sort(vals))
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if spacing.size and np.min(spacing) <= EIGENVALUE_SPACING_TOL * scale:
+        scale = max(1.0, float(np.abs(vals).max()))
+        # scaled before differencing, so eigenvalues near +-1e308 cannot overflow
+        ordered = np.sort(vals / scale)
+        if (ordered[1:] - ordered[:-1]).min() <= EIGENVALUE_SPACING_TOL:
             raise InvariantViolationError("observable eigenvalues are degenerate")
         cols.setflags(write=False)
         vals.setflags(write=False)
@@ -163,6 +171,18 @@ class ObservableBasis:
         return cls(cols)
 
 
+class _ContextRecord(NamedTuple):
+    """What every context measure is read off: the Born distribution p in the
+    first basis, T, q = T^T p, the rows d p - 1 and T^T (d p - 1), I(p), I(q)."""
+
+    p: np.ndarray
+    trans: np.ndarray
+    q: np.ndarray
+    rows: np.ndarray
+    i_initial: float
+    i_final: float
+
+
 @dataclass(frozen=True)
 class Context:
     """A quantum state together with an ordered pair of sharp observables.
@@ -186,6 +206,18 @@ class Context:
     def dim(self) -> int:
         return self.state.dim
 
+    @cached_property
+    def _record(self) -> _ContextRecord:
+        """Computed on first use; every array is read-only."""
+        p = outcome_probabilities(self.state, self.first)
+        trans = transition_matrix(self.first, self.second)
+        alpha = self.dim * p - 1.0
+        rows = np.array([alpha, trans.T @ alpha])
+        q = trans.T @ p
+        for arr in (p, trans, q, rows):
+            arr.setflags(write=False)
+        return _ContextRecord(p, trans, q, rows, *_information(rows).tolist())
+
 
 def probability_vector(values: np.ndarray) -> np.ndarray:
     """Validate and clean a probability distribution.
@@ -197,11 +229,11 @@ def probability_vector(values: np.ndarray) -> np.ndarray:
     # the range checks below are false for NaN, so test finiteness first
     if not np.isfinite(probs).all():
         raise InvariantViolationError("probabilities have non-finite entries")
-    if np.min(probs) < -PROBABILITY_CLIP:
+    if probs.min() < -PROBABILITY_CLIP:
         raise InvariantViolationError(
-            f"probability {np.min(probs):.3e} is negative"
+            f"probability {probs.min():.3e} is negative"
         )
-    probs = np.clip(probs, 0.0, None)
+    probs = np.maximum(probs, 0.0)
     if abs(probs.sum() - 1.0) > PROBABILITY_SUM_TOL:
         raise InvariantViolationError(
             f"probabilities sum to {float(probs.sum())!r}, not 1"
@@ -239,10 +271,10 @@ def _information(x: np.ndarray) -> np.ndarray:
     transition matrix; entries x <= -1 (p = 0) contribute nothing.
     """
     d = x.shape[-1]
-    mean = np.mean(x, axis=-1, keepdims=True)
+    mean = x.sum(axis=-1, keepdims=True) / d
     x = (x - mean) / (1.0 + mean)
     logs = np.log1p(x, out=np.zeros_like(x), where=x > -1.0)
-    return np.sum((1.0 + x) / d * logs, axis=-1)
+    return ((1.0 + x) / d * logs).sum(axis=-1)
 
 
 def outcome_probabilities(rho: DensityMatrix, basis: ObservableBasis) -> np.ndarray:

@@ -8,9 +8,10 @@ the state maximally mixed; ``classify_context`` separates the two free
 cases from everything else.
 
 Every context measure is a closed form in the Born distribution p of the
-first basis, the transition matrix T_jk = |<x_j|y_k>|^2 and q = T^T p, all
-computed by ``_distributions``; no dephased state is built for them. The
-informations ln d - H(p) and ln d - H(q) are read off ``_deviation_rows``.
+first basis, the transition matrix T_jk = |<x_j|y_k>|^2 and q = T^T p; no
+dephased state is built for them. The context computes these, and the
+informations ln d - H(p) and ln d - H(q), once into its read-only record,
+which every measure here reads.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from .core import (
     Context,
     DensityMatrix,
     ObservableBasis,
-    _information,
+    _ContextRecord,
     _require_same_dim,
-    outcome_probabilities,
     transition_matrix,
 )
 from .errors import (
@@ -67,21 +67,6 @@ class IncompatibilityReport:
     classification: ContextClass
 
 
-def _distributions(ctx: Context) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p, T, q): the Born distribution in the first basis, the transition
-    matrix, and q = T^T p, the distribution after both measurements."""
-    p = outcome_probabilities(ctx.state, ctx.first)
-    trans = transition_matrix(ctx.first, ctx.second)
-    return p, trans, trans.T @ p
-
-
-def _deviation_rows(p: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    """The (2, d) deviations alpha = d p - 1 and T^T alpha of p and q, the
-    rows every information of a context is read off."""
-    alpha = len(p) * p - 1.0
-    return np.stack([alpha, trans.T @ alpha])
-
-
 def _overlap_form(trans: np.ndarray) -> float:
     """Measurement incompatibility (d - sum T_jk^2) / (d - 1) of a transition
     matrix, clamped to [0, 1] against rounding at either end."""
@@ -96,22 +81,22 @@ def _commutator_norm(trans: np.ndarray) -> float:
     sum over l != k taken as T (1 - I) with 1 the all-ones matrix: unlike 1 - T_jk
     or d - sum T^2, it leaves no ~1e-14 squared rounding on commuting pairs."""
     others = trans @ (1.0 - np.eye(trans.shape[0]))
-    return math.sqrt(2.0 * float(np.sum(trans * others)))
+    return math.sqrt(2.0 * float((trans * others).sum()))
 
 
 def _spread_sq(p: np.ndarray) -> float:
     """||p - 1/d||^2, which equals ||sigma - I/d||^2 for the dephased state."""
-    return float(np.sum((p - 1.0 / len(p)) ** 2))
+    return float(((p - 1.0 / len(p)) ** 2).sum())
 
 
-def _leakage(p: np.ndarray, trans: np.ndarray, q: np.ndarray) -> float:
+def _leakage(record: _ContextRecord) -> float:
     """sum_jk T_jk (p_j - q_k)^2 / ||p - 1/d||^2, zero information rejected."""
-    denominator = _spread_sq(p)
+    denominator = _spread_sq(record.p)
     if math.sqrt(denominator) <= ZERO_INFO_NORM_TOL:
         raise ZeroInformationError(
             "dephased state is maximally mixed; leakage ratio undefined"
         )
-    return float(np.sum(trans * (p[:, None] - q) ** 2)) / denominator
+    return float((record.trans * (record.p[:, None] - record.q) ** 2).sum()) / denominator
 
 
 def context_incompatibility(ctx: Context) -> float:
@@ -123,9 +108,7 @@ def context_incompatibility(ctx: Context) -> float:
     is always finite; the operator relative entropy agrees with it whenever
     that form is finite.
     """
-    p, trans, _ = _distributions(ctx)
-    i_initial, i_final = _information(_deviation_rows(p, trans)).tolist()
-    return i_initial - i_final
+    return ctx._record.i_initial - ctx._record.i_final
 
 
 def leakage_ratio(ctx: Context) -> float:
@@ -137,7 +120,7 @@ def leakage_ratio(ctx: Context) -> float:
     first measurement leaves the state maximally mixed, ||p - 1/d|| <= 1e-10,
     the same zero-information rule as ``classify_context``.
     """
-    return _leakage(*_distributions(ctx))
+    return _leakage(ctx._record)
 
 
 def eigenstate_ratio(j: int, first: ObservableBasis, second: ObservableBasis) -> float:
@@ -182,14 +165,13 @@ def classify_context(ctx: Context) -> ContextClass:
     the dephased state from the maximally mixed one. Eigenvalues play no
     part in either test.
     """
-    p, trans, _ = _distributions(ctx)
-    return _classify(p, trans)
+    return _classify(ctx._record)
 
 
-def _classify(p: np.ndarray, trans: np.ndarray) -> ContextClass:
-    if _commutator_norm(trans) <= COMMUTATION_TOL:
+def _classify(record: _ContextRecord) -> ContextClass:
+    if _commutator_norm(record.trans) <= COMMUTATION_TOL:
         return ContextClass.FREE_COMMUTING
-    if math.sqrt(_spread_sq(p)) <= ZERO_INFO_NORM_TOL:
+    if math.sqrt(_spread_sq(record.p)) <= ZERO_INFO_NORM_TOL:
         return ContextClass.FREE_ZERO_INFO
     return ContextClass.RESOURCEFUL
 
@@ -252,6 +234,13 @@ def validate_free_operation(
     DimensionMismatchError for bases of two dimensions, before any of these,
     and ChannelValidationError naming the first violated condition.
     """
+    _validated_transfer(kraus, first, second)
+
+
+def _validated_transfer(
+    kraus: list[np.ndarray], first: ObservableBasis, second: ObservableBasis
+) -> np.ndarray:
+    """``validate_free_operation``, returning the transfer matrix S it checked."""
     _require_same_dim(first.dim, second.dim)
     d = first.dim
     if any(np.shape(k) != (d, d) for k in kraus):
@@ -272,6 +261,7 @@ def validate_free_operation(
             raise ChannelValidationError(
                 f"channel does not commute with the {name} dephasing map"
             )
+    return transfer
 
 
 def monotonicity_check(ctx: Context, kraus: list[np.ndarray]) -> tuple[float, float]:
@@ -281,9 +271,8 @@ def monotonicity_check(ctx: Context, kraus: list[np.ndarray]) -> tuple[float, fl
     with its transfer matrix S; a valid free operation can never increase
     the resource, and that is enforced at slack 1e-9.
     """
-    validate_free_operation(kraus, ctx.first, ctx.second)
+    transfer = _validated_transfer(kraus, ctx.first, ctx.second)
     before = context_incompatibility(ctx)
-    transfer = _transfer_matrix(np.array(kraus, dtype=complex))
     mapped = DensityMatrix((transfer @ ctx.state.entries.ravel()).reshape(ctx.dim, ctx.dim))
     after = context_incompatibility(Context(mapped, ctx.first, ctx.second))
     if after > before + MONOTONICITY_SLACK:
@@ -294,18 +283,17 @@ def monotonicity_check(ctx: Context, kraus: list[np.ndarray]) -> tuple[float, fl
 
 
 def incompatibility_report(ctx: Context) -> IncompatibilityReport:
-    """Compute every measure of a context from one (p, T, q) evaluation."""
-    p, trans, q = _distributions(ctx)
-    i_initial, i_final = _information(_deviation_rows(p, trans)).tolist()
+    """Compute every measure of a context from its (p, T, q) record."""
+    record = ctx._record
     try:
-        ratio: float | None = _leakage(p, trans, q)
+        ratio: float | None = _leakage(record)
     except ZeroInformationError:
         ratio = None
     return IncompatibilityReport(
-        i_context=i_initial - i_final,
-        i_initial=i_initial,
-        i_final=i_final,
+        i_context=record.i_initial - record.i_final,
+        i_initial=record.i_initial,
+        i_final=record.i_final,
         ratio=ratio,
-        m_measurement=_overlap_form(trans),
-        classification=_classify(p, trans),
+        m_measurement=_overlap_form(record.trans),
+        classification=_classify(record),
     )

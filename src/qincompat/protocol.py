@@ -9,8 +9,9 @@ sweeps, the small-noise quadratic expansion, and the finite-strength
 (weak) measurement model live here as well.
 
 The ledger, the sweeps and the expansion are closed forms in the context's
-distributions (p, T, q); no dilation or dephased state is built for them.
-A sweep scales the ledger's deviation rows, so its eps = 1 point equals it.
+record of (p, T, q) and informations; no dilation or dephased state is built
+for them. A sweep scales the record's deviation rows, so its eps = 1 point
+equals the ledger.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .core import (
     von_neumann_entropy,
 )
 from .errors import CrossCheckError, ZeroInformationError
-from .measures import _deviation_rows, _distributions, _leakage
+from .measures import _leakage
 
 LEDGER_BALANCE_TOL = 1e-9
 MUTUAL_INFO_FLOOR = -1e-10
@@ -85,15 +86,14 @@ def stinespring_ledger(ctx: Context) -> LedgerEntry:
     the entries are I(p), I(q), I(q) - ln d and ln d + I(p) - 2 I(q). The
     ledger balance is enforced.
     """
-    p, trans, _ = _distributions(ctx)
-    i_initial, i_final = _information(_deviation_rows(p, trans)).tolist()
+    record = ctx._record
     ln_d = math.log(ctx.dim)
     # pointer starts pure: its information change is minus its final entropy
     return LedgerEntry(
-        i_initial=i_initial,
-        i_final=i_final,
-        delta_apparatus=i_final - ln_d,
-        mutual_info=ln_d + i_initial - 2.0 * i_final,
+        i_initial=record.i_initial,
+        i_final=record.i_final,
+        delta_apparatus=record.i_final - ln_d,
+        mutual_info=ln_d + record.i_initial - 2.0 * record.i_final,
     )
 
 
@@ -131,11 +131,9 @@ def noise_sweep(ctx: Context, epsilons: np.ndarray) -> list[NoiseSweepPoint]:
     if not np.all((eps_values > 0.0) & (eps_values <= 1.0)):
         raise ValueError("noise strengths must lie in (0, 1]")
     d = ctx.dim
-    p, trans, q = _distributions(ctx)
-    base_ratio = _leakage(p, trans, q)  # also rejects the zero-information context
-    rows = _deviation_rows(p, trans)
-    i_full = _information(rows[0])
-    infos = _information(eps_values[:, None, None] * rows).tolist()
+    record = ctx._record
+    base_ratio = _leakage(record)  # also rejects the zero-information context
+    infos = _information(eps_values[:, None, None] * record.rows).tolist()
 
     points = []
     for eps, (i_initial_eps, i_final_eps) in zip(eps_values.tolist(), infos):
@@ -151,7 +149,7 @@ def noise_sweep(ctx: Context, epsilons: np.ndarray) -> list[NoiseSweepPoint]:
                     f"entropic ratio {ratio_eps!r} drifted from the norm ratio "
                     f"{base_ratio!r} beyond {slack} at eps={eps}"
                 )
-        if i_initial_eps > eps * i_full + CONCAVITY_SLACK:
+        if i_initial_eps > eps * record.i_initial + CONCAVITY_SLACK:
             raise CrossCheckError(f"concavity bound violated at eps={eps}")
         points.append(NoiseSweepPoint(eps, i_initial_eps, i_final_eps, ratio_eps))
     return points
@@ -169,11 +167,11 @@ def small_eps_expansion(ctx: Context, epsilon: float) -> tuple[float, float, flo
             f"expansion valid only for 0 < eps <= {0.1 / ctx.dim}, got {epsilon}"
         )
     d = ctx.dim
-    p, trans, q = _distributions(ctx)
+    record = ctx._record
     # the purities of the once- and twice-dephased states are ||p||^2 and ||q||^2
-    i_initial_approx = epsilon**2 / 2.0 * (d * float(p @ p) - 1.0)
-    i_final_approx = epsilon**2 / 2.0 * (d * float(q @ q) - 1.0)
-    i_context_approx = _leakage(p, trans, q) * i_initial_approx
+    i_initial_approx = epsilon**2 / 2.0 * (d * float(record.p @ record.p) - 1.0)
+    i_final_approx = epsilon**2 / 2.0 * (d * float(record.q @ record.q) - 1.0)
+    i_context_approx = _leakage(record) * i_initial_approx
 
     exact = noise_sweep(ctx, np.array([epsilon]))[0]
     budget = 10.0 * epsilon**3

@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -434,6 +435,43 @@ class TestDocumentValidation:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["measure", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize("entry", [1e200, complex(1.7e308, 1.7e308)])
+    def test_huge_eigenvector_entry_is_an_invariant_violation(self, tmp_path, entry, capsys):
+        # a Gram product of such an entry overflows; the modulus bound rejects it first
+        x_cols = np.eye(2, dtype=complex)
+        x_cols[0, 0] = entry
+        doc = write_document(tmp_path / "huge.json", 2, np.diag([0.6, 0.4]), x_cols, np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["measure", doc]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: invariant violation: eigenvectors are not orthonormal\n"
+
+    @pytest.mark.parametrize(
+        "eigenvalues, code", [([1e308, -1e308], 0), ([1e308, 1e308 * (1 - 1e-12)], 3)]
+    )
+    def test_extreme_eigenvalues(self, tmp_path, eigenvalues, code, capsys):
+        # spacings are taken after scaling, so differences of +-1e308 cannot overflow
+        doc = write_document(
+            tmp_path / "extreme.json",
+            2,
+            np.diag([0.6, 0.4]),
+            np.eye(2),
+            np.eye(2)[:, [1, 0]],
+            x_eigenvalues=eigenvalues,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["measure", doc]) == code
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == ""
+            assert json.loads(out)["classification"] == "FREE_COMMUTING"
+        else:
+            assert err == "error: invariant violation: observable eigenvalues are degenerate\n"
 
 
 class TestReadmeExample:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qincompat import measures
 from qincompat.bloch import (
     basis_to_bloch_frame,
     geometric_measurement_incompatibility,
@@ -459,6 +460,36 @@ class TestMonotonicity:
         for kraus in ([np.eye(2, dtype=complex)], [np.eye(3, dtype=complex)], []):
             with pytest.raises(DimensionMismatchError):
                 validate_free_operation(kraus, first, second)
+
+    def test_channel_transfer_matrix_is_built_once(self, monkeypatch):
+        # the check applies the transfer matrix it validated, so it builds no
+        # more of them than the validation alone
+        calls = []
+        original = measures._transfer_matrix
+
+        def counted(ops):
+            calls.append(ops)
+            return original(ops)
+
+        monkeypatch.setattr(measures, "_transfer_matrix", counted)
+        ctx = random_context(3, np.random.default_rng(129))
+        kraus = depolarizing_kraus(3, 0.4)
+        validate_free_operation(kraus, ctx.first, ctx.second)
+        validated = len(calls)
+        calls.clear()
+        before, after = monotonicity_check(ctx, kraus)
+        assert len(calls) == validated
+        assert after <= 0.6 * before + 1e-9
+
+
+class TestContextRecord:
+    def test_arrays_are_read_only(self):
+        ctx = random_context(4, np.random.default_rng(131))
+        record = ctx._record
+        for arr in (record.p, record.trans, record.q, record.rows):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 class TestReport:

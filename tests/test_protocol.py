@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qincompat import core, measures, protocol
 from qincompat.core import (
     Context,
     DensityMatrix,
@@ -18,6 +19,8 @@ from qincompat.core import (
 )
 from qincompat.errors import ZeroInformationError
 from qincompat.measures import (
+    ContextClass,
+    classify_context,
     context_incompatibility,
     incompatibility_report,
     leakage_ratio,
@@ -33,7 +36,13 @@ from qincompat.protocol import (
 )
 
 from _oracles import dilation_ledger, hs_norm_sq, sequential_dephase
-from _util import commuting_context, eigenstate_context, qubit_basis, random_context
+from _util import (
+    commuting_context,
+    eigenstate_context,
+    qubit_basis,
+    random_context,
+    zero_information_context,
+)
 
 LN2 = math.log(2.0)
 
@@ -239,6 +248,87 @@ class TestOneInformationRoute:
             assert context_incompatibility(ctx) == report.i_context
             assert ledger.i_initial == report.i_initial
             assert ledger.i_final == report.i_final
+
+
+class TestContextRecord:
+    """A context computes (p, T, q) and its informations once, on first use,
+    and every measure reads that record."""
+
+    def test_measures_share_one_evaluation(self, monkeypatch):
+        calls = []
+        for name in ("outcome_probabilities", "transition_matrix"):
+            original = getattr(core, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            for module in (core, measures, protocol):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        ctx = random_context(4, np.random.default_rng(420))
+        incompatibility_report(ctx)
+        stinespring_ledger(ctx)
+        noise_sweep(ctx, default_epsilon_grid())
+        classify_context(ctx)
+        leakage_ratio(ctx)
+        context_incompatibility(ctx)
+        assert sorted(calls) == ["outcome_probabilities", "transition_matrix"]
+
+    @staticmethod
+    def _values(ctx, grid):
+        values = [
+            incompatibility_report(ctx),
+            stinespring_ledger(ctx),
+            classify_context(ctx),
+            context_incompatibility(ctx),
+        ]
+        for measure in (leakage_ratio, lambda c: noise_sweep(c, grid)):
+            try:
+                values.append(measure(ctx))
+            except ZeroInformationError as exc:
+                values.append(str(exc))
+        return values
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 16])
+    def test_reused_context_equals_fresh_one(self, d):
+        rng = np.random.default_rng(430 + d)
+        grid = default_epsilon_grid()
+        contexts = [
+            random_context(d, rng),
+            random_context(d, rng, pure=True),
+            eigenstate_context(d, rng),
+            commuting_context(d, rng),
+            zero_information_context(d, rng),
+        ]
+        for ctx in contexts:
+            reused = [self._values(ctx, grid) for _ in range(2)]
+            fresh = self._values(Context(ctx.state, ctx.first, ctx.second), grid)
+            assert reused[0] == fresh
+            assert reused[1] == fresh
+
+    def test_zero_information_errors_leave_the_record_intact(self):
+        rng = np.random.default_rng(440)
+        ctx = zero_information_context(3, rng)
+        with pytest.raises(ZeroInformationError):
+            leakage_ratio(ctx)
+        with pytest.raises(ZeroInformationError):
+            noise_sweep(ctx, default_epsilon_grid())
+        fresh = Context(ctx.state, ctx.first, ctx.second)
+        assert incompatibility_report(ctx) == incompatibility_report(fresh)
+        assert stinespring_ledger(ctx) == stinespring_ledger(fresh)
+        assert classify_context(ctx) is ContextClass.FREE_ZERO_INFO
+        # a sweep that stops part-way through its grid leaves it intact too
+        ctx = Context(
+            DensityMatrix([[0.5 + 1e-6, 0.3], [0.3, 0.5 - 1e-6]]),
+            ObservableBasis.computational(2),
+            ObservableBasis.fourier(2),
+        )
+        with pytest.raises(ZeroInformationError, match="vanished"):
+            noise_sweep(ctx, default_epsilon_grid())
+        fresh = Context(ctx.state, ctx.first, ctx.second)
+        assert noise_sweep(ctx, [1.0]) == noise_sweep(fresh, [1.0])
+        assert incompatibility_report(ctx) == incompatibility_report(fresh)
 
 
 class TestSmallEpsExpansion:
