@@ -8,7 +8,8 @@ is passed, which divides by ln 2 at the presentation layer only.
 Exit codes: 0 success, 2 parse error (unreadable document, a non-number
 where a number belongs, or a non-integer $QINCOMPAT_SEED), 3 invariant
 violation (non-finite numbers included) from every subcommand, 4 malformed
-sweep grid (unless 0 < lo <= hi <= 1), 5 any other numerical error (a failed
+sweep grid (unless 0 < lo <= hi <= 1 and its point count n lies in
+1..``MAX_GRID_POINTS`` = 100 000), 5 any other numerical error (a failed
 cross-check or eigensolver included) in measure, sweep or protocol, 6 the
 same in mub (--dim outside 2..16 included), 7 the same in bloch. ``main``
 maps errors to these codes in one place.
@@ -40,6 +41,8 @@ EXIT_GEOMETRY = 7
 
 # top of the documented range, d = 2..16
 MAX_MUB_DIM = 16
+# 5 000 times the default grid's 20 points; numpy may try to allocate larger grids
+MAX_GRID_POINTS = 100_000
 
 SEED_ENV_VAR = "QINCOMPAT_SEED"
 DOCUMENT_VERSION = "1"
@@ -152,6 +155,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     # written so that NaN fails it too
     if count < 1 or not (0 < lo <= hi <= 1):
         raise _GridError(f"grid spec {spec!r} out of range")
+    if count > MAX_GRID_POINTS:
+        raise _GridError(f"grid spec {spec!r} asks for more than {MAX_GRID_POINTS} points")
     if parts[0] == "log":
         return np.logspace(math.log10(lo), math.log10(hi), count)
     return np.linspace(lo, hi, count)

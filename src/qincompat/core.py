@@ -27,16 +27,20 @@ GRAM_TOL = 1e-10
 EIGENVALUE_SPACING_TOL = 1e-9
 PROBABILITY_CLIP = 1e-12
 PROBABILITY_SUM_TOL = 1e-10
+# far above an accepted state's entries (at most 1 + d 1e-10 in modulus), so the
+# specific diagnoses (not Hermitian, trace, negative eigenvalue) keep moderate entries
+STATE_ENTRY_LIMIT = 1e150
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """A d-dimensional quantum state as a positive, unit-trace complex matrix.
 
-    Construction validates finiteness, Hermiticity (entrywise, 1e-12), unit
-    trace (1e-12) and positivity. Eigenvalues in [-1e-10, 0) are treated as
-    numerical dust: they are clipped to zero and the spectrum renormalized.
-    Anything more negative is rejected.
+    Construction validates finiteness, entry moduli (at most 1e150, so no
+    check overflows), Hermiticity (entrywise, 1e-12), unit trace (1e-12) and
+    positivity. Eigenvalues in [-1e-10, 0) are treated as numerical dust:
+    they are clipped to zero and the spectrum renormalized. Anything more
+    negative is rejected.
     """
 
     entries: np.ndarray
@@ -48,6 +52,12 @@ class DensityMatrix:
         # every tolerance check below is false for NaN, so test finiteness first
         if not np.isfinite(mat).all():
             raise InvariantViolationError("state matrix has non-finite entries")
+        # the Hermiticity difference and the trace of larger entries could overflow
+        if np.abs(mat).max() > STATE_ENTRY_LIMIT:
+            raise InvariantViolationError(
+                f"state matrix has an entry of modulus above {STATE_ENTRY_LIMIT:g};"
+                " a density matrix has none above 1"
+            )
         if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
             raise InvariantViolationError("state matrix is not Hermitian")
         if abs(mat.trace() - 1.0) > TRACE_TOL:
@@ -128,20 +138,21 @@ class ObservableBasis:
         if np.abs(gram).max() > GRAM_TOL:
             raise InvariantViolationError("eigenvectors are not orthonormal")
         if self.eigenvalues is None:
+            # the default 1..d is finite, of shape (d,) and spaced by 1
             vals = np.arange(1, d + 1, dtype=float)
         else:
             vals = np.array(self.eigenvalues, dtype=float)
             if not np.isfinite(vals).all():
                 raise InvariantViolationError("observable eigenvalues must be finite")
-        if vals.shape != (d,):
-            raise InvariantViolationError(
-                f"expected {d} eigenvalues, got shape {vals.shape}"
-            )
-        scale = max(1.0, float(np.abs(vals).max()))
-        # scaled before differencing, so eigenvalues near +-1e308 cannot overflow
-        ordered = np.sort(vals / scale)
-        if (ordered[1:] - ordered[:-1]).min() <= EIGENVALUE_SPACING_TOL:
-            raise InvariantViolationError("observable eigenvalues are degenerate")
+            if vals.shape != (d,):
+                raise InvariantViolationError(
+                    f"expected {d} eigenvalues, got shape {vals.shape}"
+                )
+            scale = max(1.0, float(np.abs(vals).max()))
+            # scaled before differencing, so eigenvalues near +-1e308 cannot overflow
+            ordered = np.sort(vals / scale)
+            if (ordered[1:] - ordered[:-1]).min() <= EIGENVALUE_SPACING_TOL:
+                raise InvariantViolationError("observable eigenvalues are degenerate")
         cols.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "vectors", cols)

@@ -2,17 +2,18 @@
 incompatibility.
 
 The quantifier equals 1 exactly when every squared overlap between the two
-eigenbases is 1/d, so driving it to its maximum over the unitary group is
-a MUB search. The ascent is Riemannian steepest ascent on U(d) (Abrudan,
-Eriksson & Koivunen, IEEE Trans. Signal Process. 56(3):1134, 2008): the
-objective's analytic gradient gives a skew-Hermitian direction, the
-candidate moves along the geodesic exp(mu G) U with an Armijo backtracking
-line search, and seeded random restarts start from Haar-random bases
-(``random_observable_basis``). The objective is quartic in U, so each line
-search starts no further out than the period bound pi / (2 max|lambda|) of
-its fastest harmonic along the geodesic, lambda the eigenvalues of iG
-(Abrudan, Eriksson & Koivunen, Signal Process. 89(9):1704, 2009). A restart
-ends at its first failed line search or at a zero gradient.
+eigenbases is 1/d, so driving it to its maximum over the unitary group is a
+MUB search. It sees the fixed basis F and the candidate U only through the
+overlaps W = F^H U, so the search runs on W, and F enters only at the start
+W_0 = F^H U_0 and in the returned basis F W. The ascent is Riemannian
+steepest ascent on U(d) (Abrudan, Eriksson & Koivunen, IEEE Trans. Signal
+Process. 56(3):1134, 2008): the analytic gradient gives a skew-Hermitian
+direction G, W moves along the geodesic exp(mu G) W with an Armijo
+backtracking line search, and seeded restarts start from Haar-random bases.
+The objective is quartic in W, so each line search starts no further out
+than the period bound pi / (2 max|lambda|) of its fastest harmonic, lambda
+the eigenvalues of iG (Abrudan, Eriksson & Koivunen, Signal Process.
+89(9):1704, 2009). A restart ends at its first failed line search or G = 0.
 """
 
 from __future__ import annotations
@@ -94,17 +95,14 @@ def mub_certificate(
     return max_deviation <= tol, max_deviation
 
 
-def _riemannian_gradient(fixed: np.ndarray, unitary: np.ndarray) -> np.ndarray:
-    """Skew-Hermitian gradient G = E U^H - U E^H of the incompatibility.
+def _riemannian_gradient(overlaps: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """Skew-Hermitian gradient G = A W^H - W A^H at the overlaps W, T = |W|^2.
 
-    E = -(2/(d-1)) F (|W|^2 o W), with W = F^H U, is the Euclidean gradient
-    with respect to conj(U); along the geodesic exp(mu G) U the objective
-    rises at rate ||G||_F^2 at mu = 0.
+    A = -(2/(d-1)) T o W is the Euclidean gradient in conj(W); along the
+    geodesic exp(mu G) W the objective rises at rate ||G||_F^2 at mu = 0.
     """
-    d = unitary.shape[0]
-    overlaps = fixed.conj().T @ unitary
-    euclidean = (-2.0 / (d - 1)) * (fixed @ (np.abs(overlaps) ** 2 * overlaps))
-    half = euclidean @ unitary.conj().T
+    d = overlaps.shape[0]
+    half = ((-2.0 / (d - 1)) * (trans * overlaps)) @ overlaps.conj().T
     return half - half.conj().T
 
 
@@ -112,26 +110,27 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
     """Ascend the incompatibility against a fixed basis.
 
     Each iteration takes the analytic Euclidean gradient of
-    M(U) = (d - sum |(F^H U)_jk|^4) / (d - 1), with F the fixed basis,
-    turns it into the skew-Hermitian Riemannian gradient G on U(d), and
-    diagonalizes iG once, eigenvalues lambda. Backtracking trials move along
-    the geodesic exp(mu G) U, halving mu down to a floor of 1e-12 until the
-    Armijo condition M(mu) - M >= mu ||G||_F^2 / 2 holds. The first trial
-    step is the smaller of the period bound pi / (2 max|lambda|) and the
-    step seed: ``STEP_INIT`` = 0.5 at the start of a restart, then twice the
-    last accepted step. Trial points are scored by the same squared-overlap
-    form as ``measurement_incompatibility``, so an accepted trial keeps its
-    score. A restart ends at its first failed line search, which would
-    repeat unchanged, or at once when ||G||_F^2 is exactly 0; its last
-    iterate is then built as an ``ObservableBasis``, which checks its Gram
-    matrix. The first start is the computational basis; restart k >= 1
-    starts from the k-th Haar-random basis ``random_observable_basis(d, rng)``
-    of one ``default_rng(seed)`` stream. Runs are deterministic for a given
-    seed, and remaining restarts are skipped once the objective is within
-    ``OBJECTIVE_TOL`` = 1e-12 of its maximum. When the fixed basis is the
-    computational one, the first start is a critical point (G = 0) and that
-    restart ends at once. The returned basis is the best across restarts,
-    ties resolved toward the earlier restart.
+    M(W) = (d - sum |W_jk|^4) / (d - 1) on the overlaps W = F^H U, F the
+    fixed basis, turns it into the skew-Hermitian Riemannian gradient G on
+    U(d), and diagonalizes iG once, eigenvalues lambda. Backtracking trials
+    move along the geodesic exp(mu G) W, halving mu down to a floor of 1e-12
+    until the Armijo condition M(mu) - M >= mu ||G||_F^2 / 2 holds. The
+    first trial step is the smaller of the period bound pi / (2 max|lambda|)
+    and the step seed: ``STEP_INIT`` = 0.5 at the start of a restart, then
+    twice the last accepted step. Trials are scored by the squared-overlap
+    form of ``measurement_incompatibility``, and an accepted trial keeps its
+    score and |W|^2 for the next gradient. A restart ends at its first
+    failed line search, which would repeat unchanged, or at once when
+    ||G||_F^2 is exactly 0; its last iterate is then built as the
+    ``ObservableBasis`` F W, which checks its Gram matrix. F enters nowhere
+    else but the start W_0 = F^H U_0: U_0 is the computational basis, and
+    for restart k >= 1 the k-th Haar-random basis
+    ``random_observable_basis(d, rng)`` of one ``default_rng(seed)`` stream.
+    Runs are deterministic for a given seed, and remaining restarts are
+    skipped once the objective is within ``OBJECTIVE_TOL`` = 1e-12 of its
+    maximum. When the fixed basis is the computational one, the first start
+    is a critical point (G = 0) and that restart ends at once. The returned
+    basis is the best across restarts, ties resolved toward the earlier one.
     """
     _require_same_dim(fixed.dim, config.dim)
     d = config.dim
@@ -147,28 +146,28 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
         if best_value >= 1.0 - OBJECTIVE_TOL:
             break
         restarts_used += 1
-        if restart == 0:
-            unitary = np.eye(d, dtype=complex)
-        else:
-            unitary = random_observable_basis(d, rng).vectors
-        current = _overlap_form(np.abs(fixed_dagger @ unitary) ** 2)
+        start = random_observable_basis(d, rng).vectors if restart else np.eye(d)
+        overlaps = fixed_dagger @ start
+        trans = np.abs(overlaps) ** 2
+        current = _overlap_form(trans)
         trajectory.append((0, current))
         step_seed = STEP_INIT
 
         for iteration in range(1, config.max_iters + 1):
             # exp(mu G) = V diag(exp(-i mu lam)) V^H from one eigh of iG
-            lam, vecs = np.linalg.eigh(1j * _riemannian_gradient(fixed.vectors, unitary))
+            lam, vecs = np.linalg.eigh(1j * _riemannian_gradient(overlaps, trans))
             slope = float(lam @ lam)
             if slope == 0.0:
                 break
-            rotated = vecs.conj().T @ unitary
+            rotated = vecs.conj().T @ overlaps
             step = min(step_seed, np.pi / (2.0 * float(np.abs(lam).max())))
             while step >= STEP_FLOOR:
                 trial = (vecs * np.exp(-1j * step * lam)) @ rotated
-                value = _overlap_form(np.abs(fixed_dagger @ trial) ** 2)
+                trial_trans = np.abs(trial) ** 2
+                value = _overlap_form(trial_trans)
                 gain = value - current
                 if gain > 0.0 and gain >= ARMIJO * step * slope:
-                    unitary, current = trial, value
+                    overlaps, trans, current = trial, trial_trans, value
                     step_seed = 2.0 * step
                     break
                 step /= 2.0
@@ -177,7 +176,7 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
                 break
 
         # every restart's last iterate passes the Gram check, best or not
-        basis = ObservableBasis(unitary)
+        basis = ObservableBasis(fixed.vectors @ overlaps)
         if current > best_value:
             best_value, best_basis = current, basis
 

@@ -8,8 +8,10 @@ build the operators: projector commutators and products, dephased density
 matrices and their relative entropy, the d^2 x d^2 controlled-shift
 dilation, Kraus operators applied to each matrix unit, and the dense
 generalized Gell-Mann matrices with the SU(d) structure tensors behind the
-Bloch layer's coordinates and its wedge and star products. The tests
-compare the library against them, each to the tolerance named below.
+Bloch layer's coordinates and its wedge and star products. The MUB search
+runs on the overlaps W = F^H U; its gradient here is taken on the candidate
+U itself, with the fixed basis F in every product. The tests compare the
+library against them, each to the tolerance named below.
 """
 
 import math
@@ -41,6 +43,7 @@ RATIO_INVARIANCE_TOL = 1e-9
 NORM_CHECK_FLOOR = 1e-9
 DILATION_TRACE_TOL = 1e-10
 TRANSFER_AGREEMENT_TOL = 1e-12
+GRADIENT_FRAME_TOL = 1e-14
 SUPPORT_EIGENVALUE_CUTOFF = 1e-12
 SUPPORT_WEIGHT_CUTOFF = 1e-10
 
@@ -242,6 +245,18 @@ def matrix_unit_verdict(
         if gap_seq > CHANNEL_COMMUTATION_TOL:
             return "channel does not commute with the sequential dephasing map"
     return None
+
+
+def unitary_frame_gradient(fixed: np.ndarray, unitary: np.ndarray) -> np.ndarray:
+    """Skew-Hermitian gradient G_U = E U^H - U E^H of the incompatibility at
+    the candidate U, with E = -(2/(d-1)) F (|W|^2 o W) and W = F^H U the
+    Euclidean gradient with respect to conj(U). It is conjugate to the
+    search's gradient on W: G_U = F G_W F^H."""
+    d = unitary.shape[0]
+    overlaps = fixed.conj().T @ unitary
+    euclidean = (-2.0 / (d - 1)) * (fixed @ (np.abs(overlaps) ** 2 * overlaps))
+    half = euclidean @ unitary.conj().T
+    return half - half.conj().T
 
 
 def gell_mann(d: int) -> np.ndarray:

@@ -228,6 +228,8 @@ class TestSweepCommand:
             "lin:nan:nan:3",
             "log:1e-4:2:3",
             "lin:0.5:inf:3",
+            # numpy refuses this count outright; the bound rejects it first
+            "log:1e-4:1:4611686018427387904",
         ],
     )
     def test_malformed_grid_exit_code(self, mub_eigenstate_doc, spec, capsys):
@@ -448,6 +450,22 @@ class TestDocumentValidation:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: invariant violation: eigenvectors are not orthonormal\n"
+
+    @pytest.mark.parametrize("entry", [1e308, complex(1.7e308, 1.7e308)])
+    def test_huge_state_entry_is_an_invariant_violation(self, tmp_path, entry, capsys):
+        # rho - rho^H overflows on such a pair; the modulus bound rejects it first
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        rho[0, 1], rho[1, 0] = entry, -np.conj(entry)
+        doc = write_document(tmp_path / "huge-state.json", 2, rho, np.eye(2), np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["measure", doc]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: invariant violation: state matrix has an entry of modulus above 1e+150;"
+            " a density matrix has none above 1\n"
+        )
 
     @pytest.mark.parametrize(
         "eigenvalues, code", [([1e308, -1e308], 0), ([1e308, 1e308 * (1 - 1e-12)], 3)]

@@ -15,6 +15,7 @@ from qincompat.mubsearch import (
     mub_certificate,
 )
 
+from _oracles import GRADIENT_FRAME_TOL, unitary_frame_gradient
 from _util import qubit_basis
 
 
@@ -87,13 +88,15 @@ class TestMaximizeIncompatibility:
             previous = objective
 
     def test_objective_goes_through_the_measure(self):
-        rng = np.random.default_rng(302)
-        fixed = random_observable_basis(3, rng)
-        config = SearchConfig(dim=3, restarts=2, max_iters=30, seed=1)
-        result = maximize_incompatibility(fixed, config)
-        assert result.objective == pytest.approx(
-            measurement_incompatibility(fixed, result.best_basis), abs=1e-12
-        )
+        # a random fixed basis keeps F out of the identity, so the returned
+        # basis F W must carry the objective the search scored on W
+        for d in range(2, 9):
+            fixed = random_observable_basis(d, np.random.default_rng(299 + d))
+            config = SearchConfig(dim=d, restarts=2, max_iters=30, seed=1)
+            result = maximize_incompatibility(fixed, config)
+            assert result.objective == pytest.approx(
+                measurement_incompatibility(fixed, result.best_basis), abs=1e-12
+            ), f"d = {d}"
 
     def test_objective_invariant_under_phases_and_permutations(self):
         rng = np.random.default_rng(303)
@@ -186,31 +189,51 @@ class TestRiemannianAscent:
         fixed = random_observable_basis(d, rng)
         step = 1e-6
         for _ in range(5):
-            unitary = random_observable_basis(d, rng).vectors
-            gradient = _riemannian_gradient(fixed.vectors, unitary)
+            overlaps = fixed.vectors.conj().T @ random_observable_basis(d, rng).vectors
+            gradient = _riemannian_gradient(overlaps, np.abs(overlaps) ** 2)
             np.testing.assert_array_equal(gradient, -gradient.conj().T)
             lam, vecs = np.linalg.eigh(1j * gradient)
 
             def along(mu):
-                moved = (vecs * np.exp(-1j * mu * lam)) @ vecs.conj().T @ unitary
-                return measurement_incompatibility(fixed, ObservableBasis(moved))
+                moved = (vecs * np.exp(-1j * mu * lam)) @ vecs.conj().T @ overlaps
+                return measurement_incompatibility(fixed, ObservableBasis(fixed.vectors @ moved))
 
             slope = (along(step) - along(-step)) / (2 * step)
             squared_norm = float(np.sum(np.abs(gradient) ** 2))
             assert slope == pytest.approx(squared_norm, rel=1e-6)
 
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_gradient_is_conjugate_to_the_unitary_frame_gradient(self, d):
+        # G_U = F G_W F^H, so a step on W = F^H U is the step on U seen from F
+        rng = np.random.default_rng(320 + d)
+        fixed = random_observable_basis(d, rng).vectors
+        for _ in range(3):
+            unitary = random_observable_basis(d, rng).vectors
+            overlaps = fixed.conj().T @ unitary
+            gradient = _riemannian_gradient(overlaps, np.abs(overlaps) ** 2)
+            reference = fixed.conj().T @ unitary_frame_gradient(fixed, unitary) @ fixed
+            np.testing.assert_allclose(gradient, reference, rtol=0, atol=GRADIENT_FRAME_TOL)
+            # against the computational basis every product with F is exact
+            np.testing.assert_array_equal(
+                _riemannian_gradient(unitary, np.abs(unitary) ** 2),
+                unitary_frame_gradient(np.eye(d, dtype=complex), unitary),
+            )
+
     def test_restarts_start_from_the_seeded_draws(self):
-        # restart k >= 1 starts at the k-th Haar draw of default_rng(seed)
+        # the first start is the computational basis and restart k >= 1 the
+        # k-th Haar draw of default_rng(seed), each seen from the fixed basis
         d, seed = 4, 17
         config = SearchConfig(dim=d, restarts=4, max_iters=5, seed=seed)
-        fixed = ObservableBasis.computational(d)
-        result = maximize_incompatibility(fixed, config)
-        starts = [value for iteration, value in result.trajectory if iteration == 0]
-        assert len(starts) == result.restarts_used == 4
-        rng = np.random.default_rng(seed)
-        for value in starts[1:]:
-            draw = random_observable_basis(d, rng)
-            assert value == measurement_incompatibility(fixed, draw)
+        computational = ObservableBasis.computational(d)
+        for fixed in (computational, random_observable_basis(d, np.random.default_rng(330))):
+            result = maximize_incompatibility(fixed, config)
+            starts = [value for iteration, value in result.trajectory if iteration == 0]
+            assert len(starts) == result.restarts_used == 4
+            assert starts[0] == measurement_incompatibility(fixed, computational)
+            rng = np.random.default_rng(seed)
+            for value in starts[1:]:
+                draw = random_observable_basis(d, rng)
+                assert value == measurement_incompatibility(fixed, draw)
 
     @pytest.mark.parametrize(
         "d, restarts, max_iters",
