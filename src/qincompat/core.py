@@ -47,8 +47,9 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         mat = np.array(self.entries, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise InvariantViolationError("state matrix must be square")
+        # an empty matrix would reach the reductions below with nothing to reduce
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.shape[0]:
+            raise InvariantViolationError("state matrix must be square and non-empty")
         # every tolerance check below is false for NaN, so test finiteness first
         if not np.isfinite(mat).all():
             raise InvariantViolationError("state matrix has non-finite entries")
@@ -237,6 +238,8 @@ def probability_vector(values: np.ndarray) -> np.ndarray:
     of one.
     """
     probs = np.asarray(values, dtype=float)
+    if not probs.size:
+        raise InvariantViolationError("probabilities are empty")
     # the range checks below are false for NaN, so test finiteness first
     if not np.isfinite(probs).all():
         raise InvariantViolationError("probabilities have non-finite entries")

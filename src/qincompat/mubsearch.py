@@ -13,7 +13,8 @@ backtracking line search, and seeded restarts start from Haar-random bases.
 The objective is quartic in W, so each line search starts no further out
 than the period bound pi / (2 max|lambda|) of its fastest harmonic, lambda
 the eigenvalues of iG (Abrudan, Eriksson & Koivunen, Signal Process.
-89(9):1704, 2009). A restart ends at its first failed line search or G = 0.
+89(9):1704, 2009). As M <= 1, steps whose Armijo bound exceeds 1 - M go
+unscored. A restart ends at its first failed line search or G = 0.
 """
 
 from __future__ import annotations
@@ -84,11 +85,12 @@ def mub_certificate(
 ) -> tuple[bool, float]:
     """Check unbiasedness: is every squared overlap within ``tol`` of 1/d?
 
-    Returns the verdict together with the worst overlap deviation. A
-    negative or non-finite ``tol`` raises ``ValueError``.
+    Returns the verdict together with the worst overlap deviation. A ``tol``
+    that is not a finite real number >= 0 raises ``ValueError``.
     """
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
+    if not (real and np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite real number >= 0, got {tol!r}")
     _require_same_dim(first.dim, second.dim)
     deviations = np.abs(transition_matrix(first, second) - 1.0 / first.dim)
     max_deviation = float(deviations.max())
@@ -117,8 +119,11 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
     until the Armijo condition M(mu) - M >= mu ||G||_F^2 / 2 holds. The
     first trial step is the smaller of the period bound pi / (2 max|lambda|)
     and the step seed: ``STEP_INIT`` = 0.5 at the start of a restart, then
-    twice the last accepted step. Trials are scored by the squared-overlap
-    form of ``measurement_incompatibility``, and an accepted trial keeps its
+    twice the last accepted step. A score is at most 1, so no step with
+    mu ||G||_F^2 / 2 above the headroom 1 - M can pass (none at M = 1):
+    these are halved past unscored, which changes no result, as halving is
+    exact. Trials are scored by the squared-overlap form of
+    ``measurement_incompatibility``, and an accepted trial keeps its
     score and |W|^2 for the next gradient. A restart ends at its first
     failed line search, which would repeat unchanged, or at once when
     ||G||_F^2 is exactly 0; its last iterate is then built as the
@@ -159,8 +164,12 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
             slope = float(lam @ lam)
             if slope == 0.0:
                 break
-            rotated = vecs.conj().T @ overlaps
             step = min(step_seed, np.pi / (2.0 * float(np.abs(lam).max())))
+            # a score is at most 1: halve past steps whose Armijo bound exceeds 1 - M
+            headroom = 1.0 - current
+            while step >= STEP_FLOOR and not (0.0 < headroom and ARMIJO * step * slope <= headroom):
+                step /= 2.0
+            rotated = vecs.conj().T @ overlaps
             while step >= STEP_FLOOR:
                 trial = (vecs * np.exp(-1j * step * lam)) @ rotated
                 trial_trans = np.abs(trial) ** 2

@@ -10,8 +10,10 @@ dilation, Kraus operators applied to each matrix unit, and the dense
 generalized Gell-Mann matrices with the SU(d) structure tensors behind the
 Bloch layer's coordinates and its wedge and star products. The MUB search
 runs on the overlaps W = F^H U; its gradient here is taken on the candidate
-U itself, with the fixed basis F in every product. The tests compare the
-library against them, each to the tolerance named below.
+U itself, with the fixed basis F in every product, and the search here
+scores every line-search trial, including those the library skips because
+a score of at most 1 cannot pass them. The tests compare the library against
+them, each to the tolerance named below, and the two searches with ==.
 """
 
 import math
@@ -24,6 +26,7 @@ from qincompat.core import (
     ObservableBasis,
     dephase,
     information,
+    random_observable_basis,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -33,6 +36,17 @@ from qincompat.measures import (
     COMMUTATION_TOL,
     ZERO_INFO_NORM_TOL,
     ContextClass,
+    _overlap_form,
+)
+from qincompat.mubsearch import (
+    ARMIJO,
+    OBJECTIVE_TOL,
+    STEP_FLOOR,
+    STEP_INIT,
+    SearchConfig,
+    SearchResult,
+    _riemannian_gradient,
+    mub_certificate,
 )
 from qincompat.protocol import LedgerEntry
 
@@ -257,6 +271,65 @@ def unitary_frame_gradient(fixed: np.ndarray, unitary: np.ndarray) -> np.ndarray
     euclidean = (-2.0 / (d - 1)) * (fixed @ (np.abs(overlaps) ** 2 * overlaps))
     half = euclidean @ unitary.conj().T
     return half - half.conj().T
+
+
+def unpruned_search(fixed: ObservableBasis, config: SearchConfig) -> SearchResult:
+    """The incompatibility ascent with every line-search trial scored.
+
+    Same restarts, gradient, period bound, step seed, Armijo test and skip
+    rule as ``maximize_incompatibility``, but each line search scores every
+    step from its first down to the floor, including those whose Armijo
+    bound ARMIJO mu ||G||_F^2 exceeds the headroom 1 - M that a score
+    clamped to at most 1 leaves. Those trials all fail, so both searches
+    return equal results."""
+    d = config.dim
+    rng = np.random.default_rng(config.seed)
+    fixed_dagger = fixed.vectors.conj().T
+    best_value = -1.0
+    best_basis = None
+    trajectory = []
+    restarts_used = 0
+    for restart in range(config.restarts):
+        if best_value >= 1.0 - OBJECTIVE_TOL:
+            break
+        restarts_used += 1
+        start = random_observable_basis(d, rng).vectors if restart else np.eye(d)
+        overlaps = fixed_dagger @ start
+        trans = np.abs(overlaps) ** 2
+        current = _overlap_form(trans)
+        trajectory.append((0, current))
+        step_seed = STEP_INIT
+        for iteration in range(1, config.max_iters + 1):
+            lam, vecs = np.linalg.eigh(1j * _riemannian_gradient(overlaps, trans))
+            slope = float(lam @ lam)
+            if slope == 0.0:
+                break
+            rotated = vecs.conj().T @ overlaps
+            step = min(step_seed, np.pi / (2.0 * float(np.abs(lam).max())))
+            while step >= STEP_FLOOR:
+                trial = (vecs * np.exp(-1j * step * lam)) @ rotated
+                trial_trans = np.abs(trial) ** 2
+                value = _overlap_form(trial_trans)
+                gain = value - current
+                if gain > 0.0 and gain >= ARMIJO * step * slope:
+                    overlaps, trans, current = trial, trial_trans, value
+                    step_seed = 2.0 * step
+                    break
+                step /= 2.0
+            trajectory.append((iteration, current))
+            if step < STEP_FLOOR:
+                break
+        basis = ObservableBasis(fixed.vectors @ overlaps)
+        if current > best_value:
+            best_value, best_basis = current, basis
+    certified, _ = mub_certificate(fixed, best_basis, config.tol_mub)
+    return SearchResult(
+        best_basis=best_basis,
+        objective=best_value,
+        certified_mub=certified,
+        trajectory=tuple(trajectory),
+        restarts_used=restarts_used,
+    )
 
 
 def gell_mann(d: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Core types, entropies, and dephasing channels."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,16 @@ class TestDensityMatrix:
         mat[1, 0] = np.conj(entry)
         with pytest.raises(InvariantViolationError, match="non-finite"):
             DensityMatrix(mat)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0,), (2, 3)])
+    def test_rejects_empty_or_non_square(self, shape):
+        # the empty matrix used to escape as numpy's zero-size reduction ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                InvariantViolationError, match="^state matrix must be square and non-empty$"
+            ):
+                DensityMatrix(np.zeros(shape))
 
     def test_entries_are_frozen(self):
         rho = DensityMatrix.maximally_mixed(3)
@@ -396,6 +407,14 @@ class TestProbabilityVector:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(InvariantViolationError, match="non-finite"):
             probability_vector(np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("empty", [np.array([]), [], np.zeros((0, 2))])
+    def test_rejects_empty(self, empty):
+        # an empty vector used to escape as numpy's zero-size reduction ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolationError, match="^probabilities are empty$"):
+                probability_vector(empty)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_shannon_entropy_rejects_non_finite(self, bad):

@@ -1,6 +1,7 @@
 """Unbiased-partner search: certificate, optimizer, seeded restarts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from qincompat.mubsearch import (
     mub_certificate,
 )
 
-from _oracles import GRADIENT_FRAME_TOL, unitary_frame_gradient
+from _oracles import GRADIENT_FRAME_TOL, unitary_frame_gradient, unpruned_search
 from _util import qubit_basis
 
 
@@ -40,12 +41,15 @@ class TestMubCertificate:
         )
         assert deviation == pytest.approx(0.25, abs=1e-12)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8, "x", None, "1e-8", True, [1e-8]])
     def test_rejects_a_negative_or_non_finite_tolerance(self, tol):
-        # a NaN tolerance used to return (False, deviation) without a word
+        # a NaN tolerance used to return (False, deviation) without a word, and
+        # strings and None escaped as numpy's TypeError from isfinite
         basis = ObservableBasis.computational(2)
-        with pytest.raises(ValueError):
-            mub_certificate(basis, ObservableBasis.fourier(2), tol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^tol must be a finite real number >= 0, got "):
+                mub_certificate(basis, ObservableBasis.fourier(2), tol)
 
 
 class TestMaximizeIncompatibility:
@@ -255,16 +259,17 @@ class TestNoDeadWork:
         assert result.restarts_used < 12
         assert 1.0 - result.objective <= mubsearch.OBJECTIVE_TOL
 
-    def test_critical_start_scores_no_trial(self, monkeypatch):
-        # the computational start against the computational basis has G = 0;
-        # it used to back off 39 halvings on each of ten iterations
+    @staticmethod
+    def _record_scores_and_draws(monkeypatch):
+        """Call log of the search: each score's value, and "draw" per Haar draw."""
         calls = []
         score = mubsearch._overlap_form
         draw = mubsearch.random_observable_basis
 
         def counting_score(trans):
-            calls.append("score")
-            return score(trans)
+            value = score(trans)
+            calls.append(value)
+            return value
 
         def counting_draw(dim, rng):
             calls.append("draw")
@@ -272,6 +277,12 @@ class TestNoDeadWork:
 
         monkeypatch.setattr(mubsearch, "_overlap_form", counting_score)
         monkeypatch.setattr(mubsearch, "random_observable_basis", counting_draw)
+        return calls
+
+    def test_critical_start_scores_no_trial(self, monkeypatch):
+        # the computational start against the computational basis has G = 0;
+        # it used to back off 39 halvings on each of ten iterations
+        calls = self._record_scores_and_draws(monkeypatch)
         config = SearchConfig(dim=2, restarts=20, tol_mub=1e-6, seed=3)
         result = maximize_incompatibility(ObservableBasis.computational(2), config)
         assert result.restarts_used >= 2
@@ -280,6 +291,21 @@ class TestNoDeadWork:
         # and its restart records the start alone
         assert result.trajectory[0] == (0, 0.0)
         assert result.trajectory[1][0] == 0
+
+    # seeds whose search reaches M = 1.0 exactly; seeds 3 and 4 stop a few
+    # ulps below it, inside the skip margin
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5])
+    def test_no_trial_is_scored_after_the_ceiling(self, seed, monkeypatch):
+        # at M = 1.0 no step can pass the Armijo test; the line search used to
+        # score some 40 of them, from 0.5 halved down to the floor
+        calls = self._record_scores_and_draws(monkeypatch)
+        config = SearchConfig(dim=2, restarts=20, tol_mub=1e-6, seed=seed)
+        result = maximize_incompatibility(ObservableBasis.computational(2), config)
+        assert result.objective == 1.0
+        after = calls[calls.index(1.0) + 1 :]
+        # nothing is scored between reaching the ceiling and the next Haar draw
+        until_draw = after[: after.index("draw")] if "draw" in after else after
+        assert until_draw == []
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -300,3 +326,44 @@ class TestNoDeadWork:
             assert repeats <= 1
             if repeats:
                 assert values[-1] == values[-2]
+
+
+def _assert_equal_searches(fixed, config):
+    result = maximize_incompatibility(fixed, config)
+    reference = unpruned_search(fixed, config)
+    assert result.trajectory == reference.trajectory
+    assert result.objective == reference.objective
+    assert result.certified_mub == reference.certified_mub
+    assert result.restarts_used == reference.restarts_used
+    assert np.array_equal(result.best_basis.vectors, reference.best_basis.vectors)
+
+
+class TestCeilingPruning:
+    """The search skips line-search steps that the ceiling M <= 1 rules out
+    without scoring them; it must return what scoring every step returns."""
+
+    # the default config, then the mub-search benchmark's configs
+    CONFIGS = [
+        {},
+        dict(restarts=20, tol_mub=1e-6),
+        dict(restarts=6, max_iters=300),
+    ]
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_equals_the_unpruned_search(self, d, seed, config):
+        config = SearchConfig(dim=d, seed=seed, **config)
+        _assert_equal_searches(ObservableBasis.computational(d), config)
+
+    def test_criterion_8_equals_the_unpruned_search(self):
+        config = SearchConfig(dim=5, restarts=12, max_iters=1200, seed=0)
+        _assert_equal_searches(ObservableBasis.computational(5), config)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_equals_the_unpruned_search_from_random_fixed_bases(self, d, seed):
+        # against a random basis the computational start is no critical point,
+        # so the first restart ascends too
+        fixed = random_observable_basis(d, np.random.default_rng(700 + seed))
+        _assert_equal_searches(fixed, SearchConfig(dim=d, restarts=4, seed=seed))
