@@ -1,20 +1,15 @@
 """Search for mutually unbiased partners by maximizing measurement
 incompatibility.
 
-The quantifier equals 1 exactly when every squared overlap between the two
-eigenbases is 1/d, so driving it to its maximum over the unitary group is a
-MUB search. It sees the fixed basis F and the candidate U only through the
-overlaps W = F^H U, so the search runs on W, and F enters only at the start
-W_0 = F^H U_0 and in the returned basis F W. The ascent is Riemannian
-steepest ascent on U(d) (Abrudan, Eriksson & Koivunen, IEEE Trans. Signal
-Process. 56(3):1134, 2008): the analytic gradient gives a skew-Hermitian
-direction G, W moves along the geodesic exp(mu G) W with an Armijo
-backtracking line search, and seeded restarts start from Haar-random bases.
-The objective is quartic in W, so each line search starts no further out
-than the period bound pi / (2 max|lambda|) of its fastest harmonic, lambda
-the eigenvalues of iG (Abrudan, Eriksson & Koivunen, Signal Process.
-89(9):1704, 2009). As M <= 1, steps whose Armijo bound exceeds 1 - M go
-unscored. A restart ends at its first failed line search or G = 0.
+The quantifier M equals 1 exactly when every squared overlap between the two
+eigenbases is 1/d, so maximizing it over the unitary group is a MUB search.
+It sees the fixed basis F and the candidate U only through the overlaps
+W = F^H U, so the search runs on W, and F enters only at the start
+W_0 = F^H U_0 and in the returned basis F W. As 1 - M = sum r^2 / (d - 1) is
+quadratic in the residuals r = |W|^2 - 1/d, M cannot see a residual below
+~1e-8, so the search drives r itself to zero by Riemannian Levenberg-Marquardt
+(Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
+Princeton 2008, Sec. 8.4) along W <- exp(iH) W, from seeded Haar-random starts.
 """
 
 from __future__ import annotations
@@ -23,26 +18,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ObservableBasis,
-    _require_same_dim,
-    random_observable_basis,
-    transition_matrix,
-)
+from .core import ObservableBasis, _require_same_dim, random_observable_basis, transition_matrix
 from .measures import _overlap_form
 
-STEP_FLOOR = 1e-12
-# first trial step of a restart; an accepted step seeds the next at twice its size
-STEP_INIT = 0.5
-# skip margin below M = 1
-OBJECTIVE_TOL = 1e-12
-# fraction of the slope ||G||_F^2 that an accepted step must realise
-ARMIJO = 0.5
+# Levenberg-Marquardt damping: start, floor, and the ceiling that ends a stalled restart
+DAMPING_INIT = 1e-3
+DAMPING_FLOOR = 1e-12
+DAMPING_CEILING = 1e8
+# a restart ends once every residual T - 1/d is at rounding level
+RESIDUAL_TOL = 1e-14
+
+
+def _real(value) -> bool:
+    """Is ``value`` a Python or numpy int or float, and not a bool?"""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the incompatibility ascent.
+    """Knobs of the Levenberg-Marquardt MUB search.
 
     ``tol_mub`` is the unbiasedness certificate tolerance on the squared
     overlaps, in [1e-10, 1/d): at 1/d a zero overlap would pass.
@@ -60,13 +54,13 @@ class SearchConfig:
             integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             if not integral or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not 1e-10 <= self.tol_mub < 1.0 / self.dim:
+        if not (_real(self.tol_mub) and 1e-10 <= self.tol_mub < 1.0 / self.dim):
             raise ValueError(f"tol_mub must lie in [1e-10, 1/dim), got {self.tol_mub!r}")
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best basis found, its objective, and the full ascent history.
+    """Best basis found, its objective, and the full search history.
 
     ``trajectory`` concatenates the per-restart histories; the iteration
     counter resets to zero at each restart and the objective is monotone
@@ -80,16 +74,13 @@ class SearchResult:
     restarts_used: int
 
 
-def mub_certificate(
-    first: ObservableBasis, second: ObservableBasis, tol: float
-) -> tuple[bool, float]:
+def mub_certificate(first: ObservableBasis, second: ObservableBasis, tol: float) -> tuple[bool, float]:
     """Check unbiasedness: is every squared overlap within ``tol`` of 1/d?
 
     Returns the verdict together with the worst overlap deviation. A ``tol``
     that is not a finite real number >= 0 raises ``ValueError``.
     """
-    real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
-    if not (real and np.isfinite(tol) and tol >= 0.0):
+    if not (_real(tol) and 0.0 <= tol < np.inf):
         raise ValueError(f"tol must be a finite real number >= 0, got {tol!r}")
     _require_same_dim(first.dim, second.dim)
     deviations = np.abs(transition_matrix(first, second) - 1.0 / first.dim)
@@ -97,103 +88,112 @@ def mub_certificate(
     return max_deviation <= tol, max_deviation
 
 
-def _riemannian_gradient(overlaps: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    """Skew-Hermitian gradient G = A W^H - W A^H at the overlaps W, T = |W|^2.
+def _directions(d: int) -> tuple[np.ndarray, ...]:
+    """The search's off-diagonal Hermitian directions, two per pair a < b in
+    ``np.triu_indices`` order, E_ab + E_ba then i(E_ab - E_ba): the rows a
+    and b of each pair, 2(e_a - e_b) per direction, and their Gram matrix."""
+    index = np.arange(d)
+    rows_a, rows_b = np.nonzero(index[:, None] < index)
+    eye = np.eye(d)
+    incidence = np.repeat(2.0 * (eye[rows_a] - eye[rows_b]), 2, axis=0)
+    return rows_a, rows_b, incidence, incidence @ incidence.T
 
-    A = -(2/(d-1)) T o W is the Euclidean gradient in conj(W); along the
-    geodesic exp(mu G) W the objective rises at rate ||G||_F^2 at mu = 0.
+
+def _normal_equations(overlaps: np.ndarray, residual: np.ndarray, directions: tuple):
+    """J^T J and -J^T r of the residuals r = |W|^2 - 1/d along W <- exp(iH) W.
+
+    With c = conj(W_a.) o W_b., E_ab + E_ba moves row a of T by -2 Im c and
+    row b by +2 Im c, and i(E_ab - E_ba) by -2 Re c and +2 Re c. Each row of
+    J^T is thus 2(e_b - e_a) (x) s, s = Im c or Re c, and J is never formed.
     """
-    d = overlaps.shape[0]
-    half = ((-2.0 / (d - 1)) * (trans * overlaps)) @ overlaps.conj().T
-    return half - half.conj().T
+    rows_a, rows_b, incidence, incidence_gram = directions
+    c = overlaps[rows_a].conj() * overlaps[rows_b]
+    slopes = np.concatenate((c.imag, c.real), axis=1).reshape(len(incidence), -1)
+    return incidence_gram * (slopes @ slopes.T), ((incidence @ residual) * slopes).sum(1)
 
 
 def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> SearchResult:
-    """Ascend the incompatibility against a fixed basis.
+    """Search for a basis unbiased to ``fixed``, maximizing the incompatibility.
 
-    Each iteration takes the analytic Euclidean gradient of
-    M(W) = (d - sum |W_jk|^4) / (d - 1) on the overlaps W = F^H U, F the
-    fixed basis, turns it into the skew-Hermitian Riemannian gradient G on
-    U(d), and diagonalizes iG once, eigenvalues lambda. Backtracking trials
-    move along the geodesic exp(mu G) W, halving mu down to a floor of 1e-12
-    until the Armijo condition M(mu) - M >= mu ||G||_F^2 / 2 holds. The
-    first trial step is the smaller of the period bound pi / (2 max|lambda|)
-    and the step seed: ``STEP_INIT`` = 0.5 at the start of a restart, then
-    twice the last accepted step. A score is at most 1, so no step with
-    mu ||G||_F^2 / 2 above the headroom 1 - M can pass (none at M = 1):
-    these are halved past unscored, which changes no result, as halving is
-    exact. Trials are scored by the squared-overlap form of
-    ``measurement_incompatibility``, and an accepted trial keeps its
-    score and |W|^2 for the next gradient. A restart ends at its first
-    failed line search, which would repeat unchanged, or at once when
-    ||G||_F^2 is exactly 0; its last iterate is then built as the
-    ``ObservableBasis`` F W, which checks its Gram matrix. F enters nowhere
-    else but the start W_0 = F^H U_0: U_0 is the computational basis, and
-    for restart k >= 1 the k-th Haar-random basis
-    ``random_observable_basis(d, rng)`` of one ``default_rng(seed)`` stream.
-    Runs are deterministic for a given seed, and remaining restarts are
-    skipped once the objective is within ``OBJECTIVE_TOL`` = 1e-12 of its
-    maximum. When the fixed basis is the computational one, the first start
-    is a critical point (G = 0) and that restart ends at once. The returned
-    basis is the best across restarts, ties resolved toward the earlier one.
+    Each restart drives the residuals r = T - 1/d of T = |W|^2, W = F^H U and
+    F the fixed basis, to zero: it solves (J^T J + lambda I) x = -J^T r, from
+    ``_normal_equations``, and tries W <- exp(iH(x)) W from one eigh of H(x).
+    A trial is accepted only if ||r||^2 falls and M, scored by the
+    squared-overlap form of ``measurement_incompatibility``, does not fall.
+    lambda starts at 1e-3, is divided by 10 on success (floor 1e-12) and
+    multiplied by 10 on failure. Each trial is one iteration of the
+    trajectory. A restart ends once every |r| <= 1e-14, at once if J^T r is
+    exactly 0 (the computational start against the computational basis), when
+    lambda passes 1e8, or at ``max_iters``; its last iterate is then built as
+    the ``ObservableBasis`` F W, which checks its Gram matrix. U_0 is the
+    computational basis, and for restart k >= 1 the k-th Haar-random basis
+    ``random_observable_basis(d, rng)`` of one ``default_rng(seed)`` stream,
+    so runs are deterministic for a given seed. The returned basis is the one
+    of highest M, ties resolved toward the earlier restart; once its own T
+    passes the certificate's test max |r| <= ``tol_mub``, the remaining
+    restarts are skipped, and ``certified_mub`` is ``mub_certificate`` on it.
     """
     _require_same_dim(fixed.dim, config.dim)
     d = config.dim
     rng = np.random.default_rng(config.seed)
     fixed_dagger = fixed.vectors.conj().T
+    identity = np.eye(d * (d - 1))
+    directions = _directions(d)
+    rows_a, rows_b, _, _ = directions
+    generator = np.zeros((d, d), dtype=complex)
 
     best_value = -1.0
     best_basis = None
+    best_deviation = np.inf
     trajectory: list[tuple[int, float]] = []
     restarts_used = 0
 
     for restart in range(config.restarts):
-        if best_value >= 1.0 - OBJECTIVE_TOL:
+        if best_deviation <= config.tol_mub:
             break
         restarts_used += 1
         start = random_observable_basis(d, rng).vectors if restart else np.eye(d)
         overlaps = fixed_dagger @ start
         trans = np.abs(overlaps) ** 2
+        residual = trans - 1.0 / d
+        cost = np.vdot(residual, residual)
+        deviation = np.abs(residual).max()
         current = _overlap_form(trans)
         trajectory.append((0, current))
-        step_seed = STEP_INIT
+        damping = DAMPING_INIT
+        moved = True
 
         for iteration in range(1, config.max_iters + 1):
-            # exp(mu G) = V diag(exp(-i mu lam)) V^H from one eigh of iG
-            lam, vecs = np.linalg.eigh(1j * _riemannian_gradient(overlaps, trans))
-            slope = float(lam @ lam)
-            if slope == 0.0:
-                break
-            step = min(step_seed, np.pi / (2.0 * float(np.abs(lam).max())))
-            # a score is at most 1: halve past steps whose Armijo bound exceeds 1 - M
-            headroom = 1.0 - current
-            while step >= STEP_FLOOR and not (0.0 < headroom and ARMIJO * step * slope <= headroom):
-                step /= 2.0
-            rotated = vecs.conj().T @ overlaps
-            while step >= STEP_FLOOR:
-                trial = (vecs * np.exp(-1j * step * lam)) @ rotated
-                trial_trans = np.abs(trial) ** 2
-                value = _overlap_form(trial_trans)
-                gain = value - current
-                if gain > 0.0 and gain >= ARMIJO * step * slope:
-                    overlaps, trans, current = trial, trial_trans, value
-                    step_seed = 2.0 * step
+            if moved:
+                if deviation <= RESIDUAL_TOL:
                     break
-                step /= 2.0
+                gram, descent = _normal_equations(overlaps, residual, directions)
+                if not descent.any():
+                    break
+            x = np.linalg.solve(gram + damping * identity, descent)
+            # H(x)[a, b] = x_2p + i x_2p+1, and eigh reads the upper triangle alone
+            generator[rows_a, rows_b] = x.view(complex)
+            lam, vecs = np.linalg.eigh(generator, UPLO="U")
+            trial = (vecs * np.exp(1j * lam)) @ (vecs.conj().T @ overlaps)
+            trans = np.abs(trial) ** 2
+            trial_residual = trans - 1.0 / d
+            trial_cost = np.vdot(trial_residual, trial_residual)
+            value = _overlap_form(trans)
+            moved = trial_cost < cost and value >= current
+            if moved:
+                overlaps, residual, cost, current = trial, trial_residual, trial_cost, value
+                deviation = np.abs(residual).max()
+                damping = max(damping / 10.0, DAMPING_FLOOR)
+            else:
+                damping *= 10.0
             trajectory.append((iteration, current))
-            if step < STEP_FLOOR:
+            if damping > DAMPING_CEILING:
                 break
 
         # every restart's last iterate passes the Gram check, best or not
         basis = ObservableBasis(fixed.vectors @ overlaps)
         if current > best_value:
-            best_value, best_basis = current, basis
+            best_value, best_basis, best_deviation = current, basis, deviation
 
     certified, _ = mub_certificate(fixed, best_basis, config.tol_mub)
-    return SearchResult(
-        best_basis=best_basis,
-        objective=best_value,
-        certified_mub=certified,
-        trajectory=tuple(trajectory),
-        restarts_used=restarts_used,
-    )
+    return SearchResult(best_basis, best_value, certified, tuple(trajectory), restarts_used)

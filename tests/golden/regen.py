@@ -25,10 +25,9 @@ from qincompat.cli import main  # noqa: E402
 
 CASES = [
     ["mub", "--dim", str(d), "--seed", str(seed)] for d in (2, 3, 4, 5, 6, 8, 9) for seed in (0, 1)
-] + [
-    # the full default search at d = 16 takes about 1 s. With one restart it
-    # stops at its critical computational start; the second case ascends from
-    # one Haar draw for a short while.
+] + [["mub", "--dim", str(d), "--seed", "0"] for d in (7, 10, 12, 16)] + [
+    # with one restart the d = 16 search stops at its critical computational
+    # start; the second case runs one Haar start for at most 60 trials
     ["mub", "--dim", "16", "--restarts", "1", "--seed", "0"],
     ["mub", "--dim", "16", "--restarts", "2", "--max-iters", "60", "--seed", "0"],
 ]

@@ -15,7 +15,7 @@ CASES = sorted(GOLDEN.glob("*.out"))
 
 
 def test_corpus_is_present():
-    assert len(CASES) == 16
+    assert len(CASES) == 20
 
 
 @pytest.mark.parametrize("path", CASES, ids=lambda path: path.stem)

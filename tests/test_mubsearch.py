@@ -1,4 +1,4 @@
-"""Unbiased-partner search: certificate, optimizer, seeded restarts."""
+"""Unbiased-partner search: certificate, Levenberg-Marquardt steps, seeded restarts."""
 
 import math
 import warnings
@@ -11,12 +11,13 @@ from qincompat.core import ObservableBasis, random_observable_basis
 from qincompat.measures import measurement_incompatibility
 from qincompat.mubsearch import (
     SearchConfig,
-    _riemannian_gradient,
+    _directions,
+    _normal_equations,
     maximize_incompatibility,
     mub_certificate,
 )
 
-from _oracles import GRADIENT_FRAME_TOL, unitary_frame_gradient, unpruned_search
+from _oracles import riemannian_gradient
 from _util import qubit_basis
 
 
@@ -150,6 +151,11 @@ class TestMaximizeIncompatibility:
             dict(dim=2, tol_mub=math.nan),
             # at 1/d a zero overlap would pass the certificate
             dict(dim=4, tol_mub=0.25),
+            # these used to escape as TypeError from the range comparison
+            dict(dim=2, tol_mub="x"),
+            dict(dim=2, tol_mub=None),
+            dict(dim=2, tol_mub=[1e-8]),
+            dict(dim=2, tol_mub=True),
             dict(dim=2.5),
             dict(dim=True),
             dict(dim=2, restarts=True),
@@ -165,6 +171,10 @@ class TestMaximizeIncompatibility:
             "tol_mub-inf",
             "tol_mub-nan",
             "tol_mub-one-over-d",
+            "tol_mub-string",
+            "tol_mub-none",
+            "tol_mub-list",
+            "tol_mub-bool",
             "dim-float",
             "dim-bool",
             "restarts-bool",
@@ -187,47 +197,12 @@ class TestMaximizeIncompatibility:
 
 
 class TestRiemannianAscent:
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-    def test_slope_along_the_geodesic_is_the_squared_gradient_norm(self, d):
-        rng = np.random.default_rng(304 + d)
-        fixed = random_observable_basis(d, rng)
-        step = 1e-6
-        for _ in range(5):
-            overlaps = fixed.vectors.conj().T @ random_observable_basis(d, rng).vectors
-            gradient = _riemannian_gradient(overlaps, np.abs(overlaps) ** 2)
-            np.testing.assert_array_equal(gradient, -gradient.conj().T)
-            lam, vecs = np.linalg.eigh(1j * gradient)
-
-            def along(mu):
-                moved = (vecs * np.exp(-1j * mu * lam)) @ vecs.conj().T @ overlaps
-                return measurement_incompatibility(fixed, ObservableBasis(fixed.vectors @ moved))
-
-            slope = (along(step) - along(-step)) / (2 * step)
-            squared_norm = float(np.sum(np.abs(gradient) ** 2))
-            assert slope == pytest.approx(squared_norm, rel=1e-6)
-
-    @pytest.mark.parametrize("d", range(2, 17))
-    def test_gradient_is_conjugate_to_the_unitary_frame_gradient(self, d):
-        # G_U = F G_W F^H, so a step on W = F^H U is the step on U seen from F
-        rng = np.random.default_rng(320 + d)
-        fixed = random_observable_basis(d, rng).vectors
-        for _ in range(3):
-            unitary = random_observable_basis(d, rng).vectors
-            overlaps = fixed.conj().T @ unitary
-            gradient = _riemannian_gradient(overlaps, np.abs(overlaps) ** 2)
-            reference = fixed.conj().T @ unitary_frame_gradient(fixed, unitary) @ fixed
-            np.testing.assert_allclose(gradient, reference, rtol=0, atol=GRADIENT_FRAME_TOL)
-            # against the computational basis every product with F is exact
-            np.testing.assert_array_equal(
-                _riemannian_gradient(unitary, np.abs(unitary) ** 2),
-                unitary_frame_gradient(np.eye(d, dtype=complex), unitary),
-            )
-
     def test_restarts_start_from_the_seeded_draws(self):
         # the first start is the computational basis and restart k >= 1 the
-        # k-th Haar draw of default_rng(seed), each seen from the fixed basis
+        # k-th Haar draw of default_rng(seed), each seen from the fixed basis;
+        # one step from a Haar start certifies no restart, so all four run
         d, seed = 4, 17
-        config = SearchConfig(dim=d, restarts=4, max_iters=5, seed=seed)
+        config = SearchConfig(dim=d, restarts=4, max_iters=1, seed=seed)
         computational = ObservableBasis.computational(d)
         for fixed in (computational, random_observable_basis(d, np.random.default_rng(330))):
             result = maximize_incompatibility(fixed, config)
@@ -257,14 +232,17 @@ class TestNoDeadWork:
         config = SearchConfig(dim=5, restarts=12, max_iters=1200, seed=0)
         result = maximize_incompatibility(ObservableBasis.computational(5), config)
         assert result.restarts_used < 12
-        assert 1.0 - result.objective <= mubsearch.OBJECTIVE_TOL
+        assert result.certified_mub
+        assert 1.0 - result.objective <= 1e-12
 
     @staticmethod
-    def _record_scores_and_draws(monkeypatch):
-        """Call log of the search: each score's value, and "draw" per Haar draw."""
+    def _record_calls(monkeypatch):
+        """Call log of the search: each score's value, "solve" per linear
+        solve and "draw" per Haar draw."""
         calls = []
         score = mubsearch._overlap_form
         draw = mubsearch.random_observable_basis
+        solve = np.linalg.solve
 
         def counting_score(trans):
             value = score(trans)
@@ -275,14 +253,19 @@ class TestNoDeadWork:
             calls.append("draw")
             return draw(dim, rng)
 
+        def counting_solve(a, b):
+            calls.append("solve")
+            return solve(a, b)
+
         monkeypatch.setattr(mubsearch, "_overlap_form", counting_score)
         monkeypatch.setattr(mubsearch, "random_observable_basis", counting_draw)
+        monkeypatch.setattr(mubsearch.np.linalg, "solve", counting_solve)
         return calls
 
     def test_critical_start_scores_no_trial(self, monkeypatch):
-        # the computational start against the computational basis has G = 0;
-        # it used to back off 39 halvings on each of ten iterations
-        calls = self._record_scores_and_draws(monkeypatch)
+        # the computational start against the computational basis has J = 0;
+        # the ascent used to back off 39 halvings on each of ten iterations
+        calls = self._record_calls(monkeypatch)
         config = SearchConfig(dim=2, restarts=20, tol_mub=1e-6, seed=3)
         result = maximize_incompatibility(ObservableBasis.computational(2), config)
         assert result.restarts_used >= 2
@@ -292,78 +275,109 @@ class TestNoDeadWork:
         assert result.trajectory[0] == (0, 0.0)
         assert result.trajectory[1][0] == 0
 
-    # seeds whose search reaches M = 1.0 exactly; seeds 3 and 4 stop a few
-    # ulps below it, inside the skip margin
-    @pytest.mark.parametrize("seed", [0, 1, 2, 5])
-    def test_no_trial_is_scored_after_the_ceiling(self, seed, monkeypatch):
-        # at M = 1.0 no step can pass the Armijo test; the line search used to
-        # score some 40 of them, from 0.5 halved down to the floor
-        calls = self._record_scores_and_draws(monkeypatch)
-        config = SearchConfig(dim=2, restarts=20, tol_mub=1e-6, seed=seed)
-        result = maximize_incompatibility(ObservableBasis.computational(2), config)
-        assert result.objective == 1.0
-        after = calls[calls.index(1.0) + 1 :]
-        # nothing is scored between reaching the ceiling and the next Haar draw
-        until_draw = after[: after.index("draw")] if "draw" in after else after
-        assert until_draw == []
+    def test_critical_start_performs_no_solve(self, monkeypatch):
+        # J^T r = 0 exactly ends the restart before any linear solve
+        calls = self._record_calls(monkeypatch)
+        config = SearchConfig(dim=3, restarts=2, seed=0)
+        maximize_incompatibility(ObservableBasis.computational(3), config)
+        first_draw = calls.index("draw")
+        assert "solve" not in calls[:first_draw]
+        assert "solve" in calls[first_draw:]
 
-    @pytest.mark.parametrize("d", [3, 4, 5])
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_restarts_end_without_repeated_searches(self, d, seed):
-        # a failed line search leaves the iterate and the step seed as they
-        # were, so the restart ends there instead of repeating it
-        fixed = random_observable_basis(d, np.random.default_rng(400 + seed))
-        config = SearchConfig(dim=d, restarts=4, max_iters=300, seed=seed)
-        result = maximize_incompatibility(fixed, config)
+
+def _numeric_jacobian(overlaps: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """Central differences of r = |W|^2 - 1/d along W <- exp(iH) W, one
+    column per direction E_ab + E_ba, i(E_ab - E_ba), pairs in triu order."""
+    d = overlaps.shape[0]
+    columns = []
+    for a, b in zip(*np.triu_indices(d, 1)):
+        for phase in (1.0, 1j):
+            h = np.zeros((d, d), dtype=complex)
+            h[a, b], h[b, a] = phase, np.conj(phase)
+            lam, vecs = np.linalg.eigh(h)
+
+            def moved(t):
+                rotation = (vecs * np.exp(1j * t * lam)) @ vecs.conj().T
+                return np.abs(rotation @ overlaps).ravel() ** 2
+
+            columns.append((moved(step) - moved(-step)) / (2 * step))
+    return np.array(columns).T
+
+
+class TestLevenbergMarquardt:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_normal_equations_match_central_differences(self, d):
+        rng = np.random.default_rng(340 + d)
+        directions = _directions(d)
+        for _ in range(3):
+            overlaps = random_observable_basis(d, rng).vectors
+            residual = np.abs(overlaps) ** 2 - 1.0 / d
+            jacobian = _numeric_jacobian(overlaps)
+            gram, descent = _normal_equations(overlaps, residual, directions)
+            np.testing.assert_allclose(gram, jacobian.T @ jacobian, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(descent, -jacobian.T @ residual.ravel(), rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_descent_is_the_oracle_gradient(self, d):
+        # M = 1 - ||r||^2 / (d - 1) on unitary W, so along direction H_p the
+        # gradient's rate Re tr(G^H iH_p) is -2 (J^T r)_p / (d - 1)
+        rng = np.random.default_rng(360 + d)
+        fixed = random_observable_basis(d, rng).vectors
+        overlaps = fixed.conj().T @ random_observable_basis(d, rng).vectors
+        gradient = riemannian_gradient(overlaps)
+        rates = []
+        for a, b in zip(*np.triu_indices(d, 1)):
+            for phase in (1.0, 1j):
+                rates.append(2.0 * (phase * gradient[b, a]).imag)
+        _, descent = _normal_equations(overlaps, np.abs(overlaps) ** 2 - 1.0 / d, _directions(d))
+        np.testing.assert_allclose(2.0 * descent / (d - 1), rates, rtol=0, atol=1e-13)
+
+    def test_stalled_start_stops_at_the_damping_ceiling(self, monkeypatch):
+        # scores that fall on every call reject every trial, so each restart
+        # multiplies lambda by 10 from 1e-3 until it passes 1e8: 12 trials
+        scores = iter(range(10**6))
+        monkeypatch.setattr(mubsearch, "_overlap_form", lambda trans: -float(next(scores)))
+        fixed = random_observable_basis(3, np.random.default_rng(370))
+        result = maximize_incompatibility(fixed, SearchConfig(dim=3, restarts=3, seed=0))
         restarts = []
         for iteration, value in result.trajectory:
             if iteration == 0:
                 restarts.append([])
             restarts[-1].append(value)
-        assert len(restarts) == result.restarts_used
-        for values in restarts:
-            repeats = sum(1 for a, b in zip(values, values[1:]) if a == b)
-            assert repeats <= 1
-            if repeats:
-                assert values[-1] == values[-2]
+        # no trial was accepted: each restart repeats its start value 12 times
+        assert [len(values) for values in restarts] == [13, 13, 13]
+        assert all(len(set(values)) == 1 for values in restarts)
 
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_every_accepted_step_lowers_the_residual(self, d, monkeypatch):
+        # the normal equations are formed at each start and after each
+        # accepted step but the last, so the residuals they see fall
+        seen = []
+        formed = mubsearch._normal_equations
+        draw = mubsearch.random_observable_basis
 
-def _assert_equal_searches(fixed, config):
-    result = maximize_incompatibility(fixed, config)
-    reference = unpruned_search(fixed, config)
-    assert result.trajectory == reference.trajectory
-    assert result.objective == reference.objective
-    assert result.certified_mub == reference.certified_mub
-    assert result.restarts_used == reference.restarts_used
-    assert np.array_equal(result.best_basis.vectors, reference.best_basis.vectors)
+        def recording(overlaps, residual, directions):
+            seen[-1].append(float(np.linalg.norm(residual)))
+            return formed(overlaps, residual, directions)
 
+        def recording_draw(dim, rng):
+            seen.append([])
+            return draw(dim, rng)
 
-class TestCeilingPruning:
-    """The search skips line-search steps that the ceiling M <= 1 rules out
-    without scoring them; it must return what scoring every step returns."""
+        seen.append([])
+        monkeypatch.setattr(mubsearch, "_normal_equations", recording)
+        monkeypatch.setattr(mubsearch, "random_observable_basis", recording_draw)
+        fixed = random_observable_basis(d, np.random.default_rng(380 + d))
+        result = maximize_incompatibility(fixed, SearchConfig(dim=d, restarts=4, seed=1))
+        assert result.certified_mub
+        assert sum(len(norms) for norms in seen) > 3
+        for norms in seen:
+            assert all(later < earlier for earlier, later in zip(norms, norms[1:]))
 
-    # the default config, then the mub-search benchmark's configs
-    CONFIGS = [
-        {},
-        dict(restarts=20, tol_mub=1e-6),
-        dict(restarts=6, max_iters=300),
-    ]
-
-    @pytest.mark.parametrize("config", CONFIGS)
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-    def test_equals_the_unpruned_search(self, d, seed, config):
-        config = SearchConfig(dim=d, seed=seed, **config)
-        _assert_equal_searches(ObservableBasis.computational(d), config)
-
-    def test_criterion_8_equals_the_unpruned_search(self):
-        config = SearchConfig(dim=5, restarts=12, max_iters=1200, seed=0)
-        _assert_equal_searches(ObservableBasis.computational(5), config)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_equals_the_unpruned_search_from_random_fixed_bases(self, d, seed):
-        # against a random basis the computational start is no critical point,
-        # so the first restart ascends too
-        fixed = random_observable_basis(d, np.random.default_rng(700 + seed))
-        _assert_equal_searches(fixed, SearchConfig(dim=d, restarts=4, seed=seed))
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_certifies_at_the_default_tolerance(self, d):
+        # the ascent certified 7 of these 15: M cannot see a residual below ~1e-8
+        fixed = ObservableBasis.computational(d)
+        result = maximize_incompatibility(fixed, SearchConfig(dim=d, seed=0))
+        assert result.certified_mub
+        assert mub_certificate(fixed, result.best_basis, 1e-11)[0]

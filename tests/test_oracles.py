@@ -34,6 +34,7 @@ from qincompat.protocol import apply_noise, default_epsilon_grid, stinespring_le
 from _oracles import (
     DILATION_TRACE_TOL,
     FORM_AGREEMENT_TOL,
+    GRADIENT_FRAME_TOL,
     NORM_CHECK_FLOOR,
     RATIO_INVARIANCE_TOL,
     TRANSFER_AGREEMENT_TOL,
@@ -45,7 +46,9 @@ from _oracles import (
     operator_classification,
     operator_leakage,
     projector_commutator_norm,
+    riemannian_gradient,
     sequential_dephase,
+    unitary_frame_gradient,
 )
 from _util import (
     commuting_context,
@@ -158,6 +161,42 @@ def test_search_result_passes_the_commutator_form(d):
     assert abs(
         result.objective - commutator_incompatibility(fixed, result.best_basis)
     ) <= FORM_AGREEMENT_TOL
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_slope_along_the_geodesic_is_the_squared_gradient_norm(d):
+    rng = np.random.default_rng(304 + d)
+    fixed = random_observable_basis(d, rng)
+    step = 1e-6
+    for _ in range(5):
+        overlaps = fixed.vectors.conj().T @ random_observable_basis(d, rng).vectors
+        gradient = riemannian_gradient(overlaps)
+        np.testing.assert_array_equal(gradient, -gradient.conj().T)
+        lam, vecs = np.linalg.eigh(1j * gradient)
+
+        def along(mu):
+            moved = (vecs * np.exp(-1j * mu * lam)) @ vecs.conj().T @ overlaps
+            return measurement_incompatibility(fixed, ObservableBasis(fixed.vectors @ moved))
+
+        slope = (along(step) - along(-step)) / (2 * step)
+        squared_norm = float(np.sum(np.abs(gradient) ** 2))
+        assert slope == pytest.approx(squared_norm, rel=1e-6)
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_gradient_is_conjugate_to_the_unitary_frame_gradient(d):
+    # G_U = F G_W F^H, so a step on W = F^H U is the step on U seen from F
+    rng = np.random.default_rng(320 + d)
+    fixed = random_observable_basis(d, rng).vectors
+    for _ in range(3):
+        unitary = random_observable_basis(d, rng).vectors
+        gradient = riemannian_gradient(fixed.conj().T @ unitary)
+        reference = fixed.conj().T @ unitary_frame_gradient(fixed, unitary) @ fixed
+        np.testing.assert_allclose(gradient, reference, rtol=0, atol=GRADIENT_FRAME_TOL)
+        # against the computational basis every product with F is exact
+        np.testing.assert_array_equal(
+            riemannian_gradient(unitary), unitary_frame_gradient(np.eye(d, dtype=complex), unitary)
+        )
 
 
 def channels(d: int) -> list[tuple[str, list[np.ndarray], ObservableBasis, ObservableBasis]]:
