@@ -12,8 +12,11 @@ Bloch layer's coordinates and its wedge and star products. The MUB search
 drives the overlap residuals to zero by Levenberg-Marquardt on W = F^H U;
 here the incompatibility's Riemannian gradient is taken on W and, with the
 fixed basis F in every product, on the candidate U itself, and the tests
-check the search's Jacobian against it. The tests compare the library
-against these routes, each to the tolerance named below.
+check the search's Jacobian against it. The search here forms the dense
+d^2 x d(d-1) Jacobian column by column, the matrix J^T J + lambda I, and the
+full Hermitian step generator, where the library forms J^T J and J^T r from
+the pair incidences alone. The tests compare the library against these
+routes, each to the tolerance named below.
 """
 
 import math
@@ -26,6 +29,7 @@ from qincompat.core import (
     ObservableBasis,
     dephase,
     information,
+    random_observable_basis,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -35,6 +39,16 @@ from qincompat.measures import (
     COMMUTATION_TOL,
     ZERO_INFO_NORM_TOL,
     ContextClass,
+    _overlap_form,
+)
+from qincompat.mubsearch import (
+    DAMPING_CEILING,
+    DAMPING_FLOOR,
+    DAMPING_INIT,
+    RESIDUAL_TOL,
+    SearchConfig,
+    SearchResult,
+    mub_certificate,
 )
 from qincompat.protocol import LedgerEntry
 
@@ -46,6 +60,11 @@ NORM_CHECK_FLOOR = 1e-9
 DILATION_TRACE_TOL = 1e-10
 TRANSFER_AGREEMENT_TOL = 1e-12
 GRADIENT_FRAME_TOL = 1e-14
+# while 1 - M exceeds this, M still resolves the residuals r = T - 1/d and
+# the two Levenberg-Marquardt searches take the same steps; below it their
+# rounding differs in which trials pass at rounding level
+SEARCH_RESOLVED_GAP = 1e-8
+SEARCH_AGREEMENT_TOL = 1e-9
 SUPPORT_EIGENVALUE_CUTOFF = 1e-12
 SUPPORT_WEIGHT_CUTOFF = 1e-10
 
@@ -269,6 +288,87 @@ def unitary_frame_gradient(fixed: np.ndarray, unitary: np.ndarray) -> np.ndarray
     euclidean = (-2.0 / (d - 1)) * (fixed @ (np.abs(overlaps) ** 2 * overlaps))
     half = euclidean @ unitary.conj().T
     return half - half.conj().T
+
+
+def residual_jacobian(overlaps: np.ndarray) -> np.ndarray:
+    """Dense Jacobian of r = |W|^2 - 1/d, raveled, along W <- exp(iH) W: one
+    column per direction E_ab + E_ba, i(E_ab - E_ba), pairs a < b in
+    ``np.triu_indices`` order. With c = conj(W_a.) o W_b., the first moves
+    row a of T by -2 Im c and row b by +2 Im c, the second by -2 Re c and
+    +2 Re c."""
+    d = overlaps.shape[0]
+    columns = []
+    for a, b in zip(*np.triu_indices(d, 1)):
+        c = overlaps[a].conj() * overlaps[b]
+        for slope in (c.imag, c.real):
+            column = np.zeros((d, d))
+            column[a] = -2.0 * slope
+            column[b] = 2.0 * slope
+            columns.append(column.ravel())
+    return np.array(columns).T
+
+
+def reference_search(fixed: ObservableBasis, config: SearchConfig) -> SearchResult:
+    """The Levenberg-Marquardt MUB search with the dense Jacobian.
+
+    Same restarts, acceptance test, damping schedule, stopping rules and skip
+    rule as ``maximize_incompatibility``, but each step forms J from
+    ``residual_jacobian``, solves (J^T J + lambda I) x = -J^T r, and writes
+    both triangles of H(x) before its eigh."""
+    d = config.dim
+    rng = np.random.default_rng(config.seed)
+    pairs = list(zip(*np.triu_indices(d, 1)))
+    best_value = -1.0
+    best_basis = None
+    best_deviation = np.inf
+    trajectory = []
+    restarts_used = 0
+    for restart in range(config.restarts):
+        if best_deviation <= config.tol_mub:
+            break
+        restarts_used += 1
+        start = random_observable_basis(d, rng).vectors if restart else np.eye(d)
+        overlaps = fixed.vectors.conj().T @ start
+        residual = (np.abs(overlaps) ** 2 - 1.0 / d).ravel()
+        current = _overlap_form(np.abs(overlaps) ** 2)
+        trajectory.append((0, current))
+        damping = DAMPING_INIT
+        for iteration in range(1, config.max_iters + 1):
+            if np.abs(residual).max() <= RESIDUAL_TOL:
+                break
+            jacobian = residual_jacobian(overlaps)
+            gradient = jacobian.T @ residual
+            if not gradient.any():
+                break
+            x = np.linalg.solve(jacobian.T @ jacobian + damping * np.eye(len(gradient)), -gradient)
+            generator = np.zeros((d, d), dtype=complex)
+            for p, (a, b) in enumerate(pairs):
+                generator[a, b] = x[2 * p] + 1j * x[2 * p + 1]
+                generator[b, a] = x[2 * p] - 1j * x[2 * p + 1]
+            lam, vecs = np.linalg.eigh(generator)
+            trial = vecs @ np.diag(np.exp(1j * lam)) @ vecs.conj().T @ overlaps
+            trial_residual = (np.abs(trial) ** 2 - 1.0 / d).ravel()
+            value = _overlap_form(np.abs(trial) ** 2)
+            if trial_residual @ trial_residual < residual @ residual and value >= current:
+                overlaps, residual, current = trial, trial_residual, value
+                damping = max(damping / 10.0, DAMPING_FLOOR)
+            else:
+                damping *= 10.0
+            trajectory.append((iteration, current))
+            if damping > DAMPING_CEILING:
+                break
+        basis = ObservableBasis(fixed.vectors @ overlaps)
+        if current > best_value:
+            best_value, best_basis = current, basis
+            best_deviation = float(np.abs(residual).max())
+    certified, _ = mub_certificate(fixed, best_basis, config.tol_mub)
+    return SearchResult(
+        best_basis=best_basis,
+        objective=best_value,
+        certified_mub=certified,
+        trajectory=tuple(trajectory),
+        restarts_used=restarts_used,
+    )
 
 
 def gell_mann(d: int) -> np.ndarray:

@@ -17,7 +17,12 @@ from qincompat.mubsearch import (
     mub_certificate,
 )
 
-from _oracles import riemannian_gradient
+from _oracles import (
+    SEARCH_AGREEMENT_TOL,
+    SEARCH_RESOLVED_GAP,
+    reference_search,
+    riemannian_gradient,
+)
 from _util import qubit_basis
 
 
@@ -284,6 +289,44 @@ class TestNoDeadWork:
         assert "solve" not in calls[:first_draw]
         assert "solve" in calls[first_draw:]
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5])
+    def test_no_trial_is_solved_after_the_rounding_level(self, seed, monkeypatch):
+        # the restart ends at the first iterate whose residuals are all at
+        # rounding level: its trial is the last thing scored, and no further
+        # solve or Haar draw follows it
+        calls = self._record_calls(monkeypatch)
+        config = SearchConfig(dim=2, restarts=20, tol_mub=1e-6, seed=seed)
+        fixed = ObservableBasis.computational(2)
+        result = maximize_incompatibility(fixed, config)
+        assert calls[-2] == "solve"
+        assert calls[-1] == result.objective
+        assert "draw" not in calls[calls.index("solve") :]
+        assert mub_certificate(fixed, result.best_basis, mubsearch.RESIDUAL_TOL)[0]
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_restarts_end_at_the_rounding_level(self, d, seed, monkeypatch):
+        # no normal equations are formed at rounding level, and the first
+        # restart that reaches it certifies and skips the rest
+        deviations = []
+        formed = mubsearch._normal_equations
+
+        def recording(overlaps, residual, directions):
+            deviations.append(float(np.abs(residual).max()))
+            return formed(overlaps, residual, directions)
+
+        monkeypatch.setattr(mubsearch, "_normal_equations", recording)
+        fixed = random_observable_basis(d, np.random.default_rng(400 + seed))
+        config = SearchConfig(dim=d, restarts=4, max_iters=300, seed=seed)
+        result = maximize_incompatibility(fixed, config)
+        assert deviations
+        assert min(deviations) > mubsearch.RESIDUAL_TOL
+        assert result.restarts_used == 1
+        assert result.certified_mub
+        assert mub_certificate(fixed, result.best_basis, 1e-13)[0]
+        values = [value for _, value in result.trajectory]
+        assert all(later >= earlier for earlier, later in zip(values, values[1:]))
+
 
 def _numeric_jacobian(overlaps: np.ndarray, step: float = 1e-6) -> np.ndarray:
     """Central differences of r = |W|^2 - 1/d along W <- exp(iH) W, one
@@ -381,3 +424,57 @@ class TestLevenbergMarquardt:
         result = maximize_incompatibility(fixed, SearchConfig(dim=d, seed=0))
         assert result.certified_mub
         assert mub_certificate(fixed, result.best_basis, 1e-11)[0]
+
+
+def _assert_follows_the_reference(fixed, config):
+    # the two searches take the same steps while M still resolves the
+    # residuals, and end on the same verdict; past that, rounding decides
+    # which trials pass, and both end on unbiased bases of M = 1 to rounding
+    result = maximize_incompatibility(fixed, config)
+    reference = reference_search(fixed, config)
+    assert result.restarts_used == reference.restarts_used
+    assert result.certified_mub == reference.certified_mub
+    assert result.objective == pytest.approx(reference.objective, rel=0, abs=1e-13)
+    resolved = [
+        [(iteration, value) for iteration, value in search.trajectory if value < 1.0 - SEARCH_RESOLVED_GAP]
+        for search in (result, reference)
+    ]
+    assert [iteration for iteration, _ in resolved[0]] == [iteration for iteration, _ in resolved[1]]
+    assert len(resolved[0]) >= result.restarts_used
+    np.testing.assert_allclose(
+        [value for _, value in resolved[0]],
+        [value for _, value in resolved[1]],
+        rtol=0,
+        atol=SEARCH_AGREEMENT_TOL,
+    )
+
+
+class TestReferenceSearch:
+    """The search forms J^T J and J^T r from the pair incidences without J;
+    it must step as the search with the dense Jacobian does."""
+
+    # the default config, then the mub-search benchmark's configs
+    CONFIGS = [
+        {},
+        dict(restarts=20, tol_mub=1e-6),
+        dict(restarts=6, max_iters=300),
+    ]
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_follows_the_dense_jacobian_search(self, d, seed, config):
+        config = SearchConfig(dim=d, seed=seed, **config)
+        _assert_follows_the_reference(ObservableBasis.computational(d), config)
+
+    def test_criterion_8_follows_the_dense_jacobian_search(self):
+        config = SearchConfig(dim=5, restarts=12, max_iters=1200, seed=0)
+        _assert_follows_the_reference(ObservableBasis.computational(5), config)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_follows_the_dense_jacobian_search_from_random_fixed_bases(self, d, seed):
+        # against a random basis the computational start is no critical point,
+        # so the first restart steps too
+        fixed = random_observable_basis(d, np.random.default_rng(700 + seed))
+        _assert_follows_the_reference(fixed, SearchConfig(dim=d, restarts=4, seed=seed))
