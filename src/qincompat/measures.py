@@ -71,7 +71,7 @@ def _overlap_form(trans: np.ndarray) -> float:
     """Measurement incompatibility (d - sum T_jk^2) / (d - 1) of a transition
     matrix, clamped to [0, 1] against rounding at either end."""
     d = trans.shape[0]
-    # the method form skips np.sum's dispatch: the search calls this per trial step
+    # the method form skips np.sum's dispatch: every report calls this
     value = (d - float((trans * trans).sum())) / (d - 1)
     return min(max(value, 0.0), 1.0)
 

@@ -1,15 +1,16 @@
-"""Search for mutually unbiased partners by maximizing measurement
-incompatibility.
+"""Search for mutually unbiased partners by maximizing the incompatibility M.
 
 The quantifier M equals 1 exactly when every squared overlap between the two
 eigenbases is 1/d, so maximizing it over the unitary group is a MUB search.
 It sees the fixed basis F and the candidate U only through the overlaps
 W = F^H U, so the search runs on W, and F enters only at the start
-W_0 = F^H U_0 and in the returned basis F W. As 1 - M = sum r^2 / (d - 1) is
+W_0 = F^H U_0 and in the returned basis F W. As 1 - M = ||r||^2 / (d - 1) is
 quadratic in the residuals r = |W|^2 - 1/d, M cannot see a residual below
 ~1e-8, so the search drives r itself to zero by Riemannian Levenberg-Marquardt
 (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
 Princeton 2008, Sec. 8.4) along W <- exp(iH) W, from seeded Haar-random starts.
+Damped by lambda ~ ||r||^2, it converges quadratically under a local error
+bound, with no isolated solution needed (Fan & Yuan, Computing 74, 23 (2005)).
 """
 
 from __future__ import annotations
@@ -19,14 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ObservableBasis, _require_same_dim, random_observable_basis, transition_matrix
-from .measures import _overlap_form
 
-# Levenberg-Marquardt damping: start, floor, and the ceiling that ends a stalled restart
-DAMPING_INIT = 1e-3
+# Levenberg-Marquardt damping: floor, and the ceiling that ends a stalled restart
 DAMPING_FLOOR = 1e-12
 DAMPING_CEILING = 1e8
 # a restart ends once every residual T - 1/d is at rounding level
 RESIDUAL_TOL = 1e-14
+# or once ||r||^2 has fallen by under 1 % over the last 10 trials
+STALL_WINDOW = 10
+STALL_RATIO = 0.99
 
 
 def _real(value) -> bool:
@@ -34,12 +36,18 @@ def _real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def _score(cost: float, d: int) -> float:
+    """M = 1 - ||r||^2 / (d - 1) in [0, 1], as T is doubly stochastic: sum r = 0."""
+    return min(max(1.0 - float(cost) / (d - 1), 0.0), 1.0)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs of the Levenberg-Marquardt MUB search.
 
-    ``tol_mub`` is the unbiasedness certificate tolerance on the squared
-    overlaps, in [1e-10, 1/d): at 1/d a zero overlap would pass.
+    ``max_iters`` caps the trials of a restart. ``tol_mub`` is the certificate
+    tolerance on the squared overlaps, in [1e-10, 1/d): at 1/d a zero overlap
+    would pass.
     """
 
     dim: int
@@ -116,22 +124,20 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
     """Search for a basis unbiased to ``fixed``, maximizing the incompatibility.
 
     Each restart drives the residuals r = T - 1/d of T = |W|^2, W = F^H U and
-    F the fixed basis, to zero: it solves (J^T J + lambda I) x = -J^T r, from
-    ``_normal_equations``, and tries W <- exp(iH(x)) W from one eigh of H(x).
-    A trial is accepted only if ||r||^2 falls and M, scored by the
-    squared-overlap form of ``measurement_incompatibility``, does not fall.
-    lambda starts at 1e-3, is divided by 10 on success (floor 1e-12) and
-    multiplied by 10 on failure. Each trial is one iteration of the
-    trajectory. A restart ends once every |r| <= 1e-14, at once if J^T r is
-    exactly 0 (the computational start against the computational basis), when
-    lambda passes 1e8, or at ``max_iters``; its last iterate is then built as
-    the ``ObservableBasis`` F W, which checks its Gram matrix. U_0 is the
-    computational basis, and for restart k >= 1 the k-th Haar-random basis
-    ``random_observable_basis(d, rng)`` of one ``default_rng(seed)`` stream,
-    so runs are deterministic for a given seed. The returned basis is the one
-    of highest M, ties resolved toward the earlier restart; once its own T
-    passes the certificate's test max |r| <= ``tol_mub``, the remaining
-    restarts are skipped, and ``certified_mub`` is ``mub_certificate`` on it.
+    F the fixed basis, to zero: it solves (J^T J + lambda I) x = -J^T r from
+    ``_normal_equations`` and tries W <- exp(iH(x)) W, one eigh of H(x) and one
+    iteration of the trajectory per trial. A trial is accepted iff ||r||^2
+    falls, and M is read off ||r||^2. lambda starts at ||r_0||^2 and becomes
+    min(lambda / 10, ||r||^2) on success, 10 lambda on failure, never below
+    1e-12. A restart ends at max |r| <= 1e-14, at J^T r = 0 (the computational
+    start against the computational basis), once lambda passes 1e8, once
+    ||r||^2 has fallen by under 1 % over 10 trials, or at ``max_iters``; its
+    last iterate is then built as the ``ObservableBasis`` F W, which checks
+    its Gram matrix. U_0 is the computational basis, and restart k >= 1 the
+    k-th draw of ``random_observable_basis(d, rng)`` from ``default_rng(seed)``.
+    The returned basis is the one of highest M, the earlier on ties; once its
+    max |r| <= ``tol_mub``, the remaining restarts are skipped, and
+    ``certified_mub`` is ``mub_certificate`` on it.
     """
     _require_same_dim(fixed.dim, config.dim)
     d = config.dim
@@ -142,9 +148,7 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
     rows_a, rows_b, _, _ = directions
     generator = np.zeros((d, d), dtype=complex)
 
-    best_value = -1.0
-    best_basis = None
-    best_deviation = np.inf
+    best_value, best_basis, best_deviation = -1.0, None, np.inf
     trajectory: list[tuple[int, float]] = []
     restarts_used = 0
 
@@ -154,18 +158,16 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
         restarts_used += 1
         start = random_observable_basis(d, rng).vectors if restart else np.eye(d)
         overlaps = fixed_dagger @ start
-        trans = np.abs(overlaps) ** 2
-        residual = trans - 1.0 / d
+        residual = np.abs(overlaps) ** 2 - 1.0 / d
         cost = np.vdot(residual, residual)
-        deviation = np.abs(residual).max()
-        current = _overlap_form(trans)
-        trajectory.append((0, current))
-        damping = DAMPING_INIT
+        costs = [cost]
+        trajectory.append((0, _score(cost, d)))
+        damping = max(cost, DAMPING_FLOOR)
         moved = True
 
         for iteration in range(1, config.max_iters + 1):
             if moved:
-                if deviation <= RESIDUAL_TOL:
+                if np.abs(residual).max() <= RESIDUAL_TOL:
                     break
                 gram, descent = _normal_equations(overlaps, residual, directions)
                 if not descent.any():
@@ -175,25 +177,23 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
             generator[rows_a, rows_b] = x.view(complex)
             lam, vecs = np.linalg.eigh(generator, UPLO="U")
             trial = (vecs * np.exp(1j * lam)) @ (vecs.conj().T @ overlaps)
-            trans = np.abs(trial) ** 2
-            trial_residual = trans - 1.0 / d
+            trial_residual = np.abs(trial) ** 2 - 1.0 / d
             trial_cost = np.vdot(trial_residual, trial_residual)
-            value = _overlap_form(trans)
-            moved = trial_cost < cost and value >= current
+            moved = trial_cost < cost
             if moved:
-                overlaps, residual, cost, current = trial, trial_residual, trial_cost, value
-                deviation = np.abs(residual).max()
-                damping = max(damping / 10.0, DAMPING_FLOOR)
-            else:
-                damping *= 10.0
-            trajectory.append((iteration, current))
-            if damping > DAMPING_CEILING:
+                overlaps, residual, cost = trial, trial_residual, trial_cost
+            damping = max(min(damping / 10.0, cost), DAMPING_FLOOR) if moved else 10.0 * damping
+            costs.append(cost)
+            trajectory.append((iteration, _score(cost, d)))
+            stalled = iteration >= STALL_WINDOW and cost > STALL_RATIO * costs[-1 - STALL_WINDOW]
+            if damping > DAMPING_CEILING or stalled:
                 break
 
         # every restart's last iterate passes the Gram check, best or not
         basis = ObservableBasis(fixed.vectors @ overlaps)
-        if current > best_value:
-            best_value, best_basis, best_deviation = current, basis, deviation
+        value = trajectory[-1][1]
+        if value > best_value:
+            best_value, best_basis, best_deviation = value, basis, np.abs(residual).max()
 
     certified, _ = mub_certificate(fixed, best_basis, config.tol_mub)
     return SearchResult(best_basis, best_value, certified, tuple(trajectory), restarts_used)

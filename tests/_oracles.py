@@ -44,8 +44,9 @@ from qincompat.measures import (
 from qincompat.mubsearch import (
     DAMPING_CEILING,
     DAMPING_FLOOR,
-    DAMPING_INIT,
     RESIDUAL_TOL,
+    STALL_RATIO,
+    STALL_WINDOW,
     SearchConfig,
     SearchResult,
     mub_certificate,
@@ -60,9 +61,9 @@ NORM_CHECK_FLOOR = 1e-9
 DILATION_TRACE_TOL = 1e-10
 TRANSFER_AGREEMENT_TOL = 1e-12
 GRADIENT_FRAME_TOL = 1e-14
-# while 1 - M exceeds this, M still resolves the residuals r = T - 1/d and
-# the two Levenberg-Marquardt searches take the same steps; below it their
-# rounding differs in which trials pass at rounding level
+# while 1 - M exceeds this, the two Levenberg-Marquardt searches take the
+# same steps; below it the rounding of their normal equations decides which
+# trials lower ||r||^2 at rounding level
 SEARCH_RESOLVED_GAP = 1e-8
 SEARCH_AGREEMENT_TOL = 1e-9
 SUPPORT_EIGENVALUE_CUTOFF = 1e-12
@@ -314,7 +315,8 @@ def reference_search(fixed: ObservableBasis, config: SearchConfig) -> SearchResu
     Same restarts, acceptance test, damping schedule, stopping rules and skip
     rule as ``maximize_incompatibility``, but each step forms J from
     ``residual_jacobian``, solves (J^T J + lambda I) x = -J^T r, and writes
-    both triangles of H(x) before its eigh."""
+    both triangles of H(x) before its eigh; M is scored by the squared-overlap
+    form of ``measurement_incompatibility``, not read off ||r||^2."""
     d = config.dim
     rng = np.random.default_rng(config.seed)
     pairs = list(zip(*np.triu_indices(d, 1)))
@@ -330,9 +332,10 @@ def reference_search(fixed: ObservableBasis, config: SearchConfig) -> SearchResu
         start = random_observable_basis(d, rng).vectors if restart else np.eye(d)
         overlaps = fixed.vectors.conj().T @ start
         residual = (np.abs(overlaps) ** 2 - 1.0 / d).ravel()
+        costs = [residual @ residual]
         current = _overlap_form(np.abs(overlaps) ** 2)
         trajectory.append((0, current))
-        damping = DAMPING_INIT
+        damping = max(costs[0], DAMPING_FLOOR)
         for iteration in range(1, config.max_iters + 1):
             if np.abs(residual).max() <= RESIDUAL_TOL:
                 break
@@ -348,14 +351,16 @@ def reference_search(fixed: ObservableBasis, config: SearchConfig) -> SearchResu
             lam, vecs = np.linalg.eigh(generator)
             trial = vecs @ np.diag(np.exp(1j * lam)) @ vecs.conj().T @ overlaps
             trial_residual = (np.abs(trial) ** 2 - 1.0 / d).ravel()
-            value = _overlap_form(np.abs(trial) ** 2)
-            if trial_residual @ trial_residual < residual @ residual and value >= current:
-                overlaps, residual, current = trial, trial_residual, value
-                damping = max(damping / 10.0, DAMPING_FLOOR)
+            if trial_residual @ trial_residual < costs[-1]:
+                overlaps, residual = trial, trial_residual
+                current = _overlap_form(np.abs(trial) ** 2)
+                damping = max(min(damping / 10.0, residual @ residual), DAMPING_FLOOR)
             else:
                 damping *= 10.0
+            costs.append(residual @ residual)
             trajectory.append((iteration, current))
-            if damping > DAMPING_CEILING:
+            stalled = iteration >= STALL_WINDOW and costs[-1] > STALL_RATIO * costs[-1 - STALL_WINDOW]
+            if damping > DAMPING_CEILING or stalled:
                 break
         basis = ObservableBasis(fixed.vectors @ overlaps)
         if current > best_value:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qincompat.mubsearch as mubsearch
-from qincompat.core import ObservableBasis, random_observable_basis
+from qincompat.core import ObservableBasis, random_observable_basis, transition_matrix
 from qincompat.measures import measurement_incompatibility
 from qincompat.mubsearch import (
     SearchConfig,
@@ -24,6 +24,17 @@ from _oracles import (
     riemannian_gradient,
 )
 from _util import qubit_basis
+
+
+def _start_cost(fixed: ObservableBasis, start: ObservableBasis) -> float:
+    """||r||^2 of the residuals r = T - 1/d at a start, as the search forms it."""
+    residual = transition_matrix(fixed, start) - 1.0 / fixed.dim
+    return np.vdot(residual, residual)
+
+
+def _start_score(fixed: ObservableBasis, start: ObservableBasis) -> float:
+    """The objective the search records for a start: M read off ||r||^2."""
+    return mubsearch._score(_start_cost(fixed, start), fixed.dim)
 
 
 class TestMubCertificate:
@@ -99,13 +110,15 @@ class TestMaximizeIncompatibility:
 
     def test_objective_goes_through_the_measure(self):
         # a random fixed basis keeps F out of the identity, so the returned
-        # basis F W must carry the objective the search scored on W
-        for d in range(2, 9):
+        # basis F W must carry the objective the search read off ||r||^2 on
+        # W; the two forms differ by 2 (sum T - d) / (d (d - 1)), and the
+        # iterates are unitary only to ~1e-14
+        for d in range(2, 17):
             fixed = random_observable_basis(d, np.random.default_rng(299 + d))
             config = SearchConfig(dim=d, restarts=2, max_iters=30, seed=1)
             result = maximize_incompatibility(fixed, config)
             assert result.objective == pytest.approx(
-                measurement_incompatibility(fixed, result.best_basis), abs=1e-12
+                measurement_incompatibility(fixed, result.best_basis), abs=1e-14
             ), f"d = {d}"
 
     def test_objective_invariant_under_phases_and_permutations(self):
@@ -213,11 +226,11 @@ class TestRiemannianAscent:
             result = maximize_incompatibility(fixed, config)
             starts = [value for iteration, value in result.trajectory if iteration == 0]
             assert len(starts) == result.restarts_used == 4
-            assert starts[0] == measurement_incompatibility(fixed, computational)
+            assert starts[0] == _start_score(fixed, computational)
             rng = np.random.default_rng(seed)
             for value in starts[1:]:
                 draw = random_observable_basis(d, rng)
-                assert value == measurement_incompatibility(fixed, draw)
+                assert value == _start_score(fixed, draw)
 
     @pytest.mark.parametrize(
         "d, restarts, max_iters",
@@ -239,20 +252,18 @@ class TestNoDeadWork:
         assert result.restarts_used < 12
         assert result.certified_mub
         assert 1.0 - result.objective <= 1e-12
+        # the critical start and 8 trials: damping from ||r||^2 rejects none
+        # of them (damping from 1e-3 took 14 trials, 5 of them rejected)
+        assert len(result.trajectory) <= 10
 
     @staticmethod
     def _record_calls(monkeypatch):
-        """Call log of the search: each score's value, "solve" per linear
-        solve and "draw" per Haar draw."""
+        """Call log of the search: "solve" per linear solve, "trial" per
+        trial step (its one eigh) and "draw" per Haar draw."""
         calls = []
-        score = mubsearch._overlap_form
         draw = mubsearch.random_observable_basis
         solve = np.linalg.solve
-
-        def counting_score(trans):
-            value = score(trans)
-            calls.append(value)
-            return value
+        eigh = np.linalg.eigh
 
         def counting_draw(dim, rng):
             calls.append("draw")
@@ -262,9 +273,13 @@ class TestNoDeadWork:
             calls.append("solve")
             return solve(a, b)
 
-        monkeypatch.setattr(mubsearch, "_overlap_form", counting_score)
+        def counting_eigh(a, UPLO="L"):
+            calls.append("trial")
+            return eigh(a, UPLO=UPLO)
+
         monkeypatch.setattr(mubsearch, "random_observable_basis", counting_draw)
         monkeypatch.setattr(mubsearch.np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(mubsearch.np.linalg, "eigh", counting_eigh)
         return calls
 
     def test_critical_start_scores_no_trial(self, monkeypatch):
@@ -274,8 +289,8 @@ class TestNoDeadWork:
         config = SearchConfig(dim=2, restarts=20, tol_mub=1e-6, seed=3)
         result = maximize_incompatibility(ObservableBasis.computational(2), config)
         assert result.restarts_used >= 2
-        # the start's own score and nothing else before the first Haar draw
-        assert calls.index("draw") == 1
+        # no solve and no trial before the first Haar draw
+        assert calls.index("draw") == 0
         # and its restart records the start alone
         assert result.trajectory[0] == (0, 0.0)
         assert result.trajectory[1][0] == 0
@@ -298,8 +313,8 @@ class TestNoDeadWork:
         config = SearchConfig(dim=2, restarts=20, tol_mub=1e-6, seed=seed)
         fixed = ObservableBasis.computational(2)
         result = maximize_incompatibility(fixed, config)
-        assert calls[-2] == "solve"
-        assert calls[-1] == result.objective
+        assert calls[-2:] == ["solve", "trial"]
+        assert result.trajectory[-1][1] == result.objective
         assert "draw" not in calls[calls.index("solve") :]
         assert mub_certificate(fixed, result.best_basis, mubsearch.RESIDUAL_TOL)[0]
 
@@ -376,19 +391,35 @@ class TestLevenbergMarquardt:
         np.testing.assert_allclose(2.0 * descent / (d - 1), rates, rtol=0, atol=1e-13)
 
     def test_stalled_start_stops_at_the_damping_ceiling(self, monkeypatch):
-        # scores that fall on every call reject every trial, so each restart
-        # multiplies lambda by 10 from 1e-3 until it passes 1e8: 12 trials
-        scores = iter(range(10**6))
-        monkeypatch.setattr(mubsearch, "_overlap_form", lambda trans: -float(next(scores)))
-        fixed = random_observable_basis(3, np.random.default_rng(370))
-        result = maximize_incompatibility(fixed, SearchConfig(dim=3, restarts=3, seed=0))
+        # steps along +J^T r raise ||r||^2 and are all rejected, so each
+        # restart multiplies lambda by 10 from ||r_0||^2 until it passes 1e8
+        formed = mubsearch._normal_equations
+
+        def ascent(overlaps, residual, directions):
+            gram, descent = formed(overlaps, residual, directions)
+            return gram, -descent
+
+        monkeypatch.setattr(mubsearch, "_normal_equations", ascent)
+        d = 3
+        fixed = random_observable_basis(d, np.random.default_rng(370))
+        result = maximize_incompatibility(fixed, SearchConfig(dim=d, restarts=3, seed=0))
         restarts = []
         for iteration, value in result.trajectory:
             if iteration == 0:
                 restarts.append([])
             restarts[-1].append(value)
-        # no trial was accepted: each restart repeats its start value 12 times
-        assert [len(values) for values in restarts] == [13, 13, 13]
+        rng = np.random.default_rng(0)
+        starts = [ObservableBasis.computational(d)] + [random_observable_basis(d, rng) for _ in range(2)]
+        expected = []
+        for start in starts:
+            damping, trials = max(_start_cost(fixed, start), mubsearch.DAMPING_FLOOR), 0
+            while damping <= mubsearch.DAMPING_CEILING:
+                damping, trials = damping * 10.0, trials + 1
+            # the ceiling, not the stall stop, ends these restarts
+            assert trials < mubsearch.STALL_WINDOW
+            expected.append(1 + trials)
+        # no trial was accepted: each restart repeats its start value
+        assert [len(values) for values in restarts] == expected
         assert all(len(set(values)) == 1 for values in restarts)
 
     @pytest.mark.parametrize("d", [3, 4, 5])
@@ -416,6 +447,63 @@ class TestLevenbergMarquardt:
         assert sum(len(norms) for norms in seen) > 3
         for norms in seen:
             assert all(later < earlier for earlier, later in zip(norms, norms[1:]))
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 8])
+    def test_damping_follows_the_residual(self, d, monkeypatch):
+        # lambda starts at ||r_0||^2 and stays at or below ||r||^2 after each
+        # accepted step; it is read back off the solved matrix J^T J + lambda I
+        # at its smallest diagonal entry, to the rounding of that entry
+        formed = mubsearch._normal_equations
+        solve = np.linalg.solve
+        draw = mubsearch.random_observable_basis
+        starting = [True]
+        # the normal equations formed last, until their first solve
+        pending = []
+        # per such solve: lambda, ||r||^2, whether it is a restart's first, rounding
+        damped = []
+
+        def recording(overlaps, residual, directions):
+            gram, descent = formed(overlaps, residual, directions)
+            pending[:] = [(gram, np.vdot(residual, residual), starting[0])]
+            starting[0] = False
+            return gram, descent
+
+        def recording_solve(a, b):
+            if pending:
+                gram, cost, start = pending.pop()
+                i = np.argmin(np.diagonal(gram))
+                damped.append((a[i, i] - gram[i, i], cost, start, np.spacing(a[i, i])))
+            return solve(a, b)
+
+        def recording_draw(dim, rng):
+            starting[0] = True
+            return draw(dim, rng)
+
+        monkeypatch.setattr(mubsearch, "_normal_equations", recording)
+        monkeypatch.setattr(mubsearch.np.linalg, "solve", recording_solve)
+        monkeypatch.setattr(mubsearch, "random_observable_basis", recording_draw)
+        fixed = random_observable_basis(d, np.random.default_rng(390 + d))
+        result = maximize_incompatibility(fixed, SearchConfig(dim=d, restarts=4, seed=2))
+        assert result.certified_mub
+        assert sum(start for _, _, start, _ in damped) == result.restarts_used
+        assert len(damped) > 2 * result.restarts_used
+        for damping, cost, start, rounding in damped:
+            assert damping >= mubsearch.DAMPING_FLOOR - rounding
+            if start:
+                assert abs(damping - cost) <= rounding
+            else:
+                assert damping <= max(cost, mubsearch.DAMPING_FLOOR) + rounding
+
+    def test_stalled_restarts_end_early(self):
+        # against this fixed basis most restarts stall at max|r| ~ 1e-4, where
+        # tiny accepted gains kept lambda low for 150-230 trials a restart
+        fixed = random_observable_basis(16, np.random.default_rng(1272))
+        result = maximize_incompatibility(fixed, SearchConfig(dim=16, seed=0))
+        assert result.certified_mub
+        starts = [i for i, (iteration, _) in enumerate(result.trajectory) if iteration == 0]
+        lengths = np.diff(starts + [len(result.trajectory)]) - 1
+        assert len(lengths) == result.restarts_used
+        assert max(lengths) <= 100
 
     @pytest.mark.parametrize("d", range(2, 17))
     def test_certifies_at_the_default_tolerance(self, d):
