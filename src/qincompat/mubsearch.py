@@ -21,9 +21,8 @@ import numpy as np
 
 from .core import ObservableBasis, _require_same_dim, random_observable_basis, transition_matrix
 
-# Levenberg-Marquardt damping: floor, and the ceiling that ends a stalled restart
+# Levenberg-Marquardt damping floor
 DAMPING_FLOOR = 1e-12
-DAMPING_CEILING = 1e8
 # a restart ends once every residual T - 1/d is at rounding level
 RESIDUAL_TOL = 1e-14
 # or once ||r||^2 has fallen by under 1 % over the last 10 trials
@@ -129,12 +128,11 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
     iteration of the trajectory per trial. A trial is accepted iff ||r||^2
     falls, and M is read off ||r||^2. lambda starts at ||r_0||^2 and becomes
     min(lambda / 10, ||r||^2) on success, 10 lambda on failure, never below
-    1e-12. A restart ends at max |r| <= 1e-14, at J^T r = 0 (the computational
-    start against the computational basis), once lambda passes 1e8, once
-    ||r||^2 has fallen by under 1 % over 10 trials, or at ``max_iters``; its
-    last iterate is then built as the ``ObservableBasis`` F W, which checks
-    its Gram matrix. U_0 is the computational basis, and restart k >= 1 the
-    k-th draw of ``random_observable_basis(d, rng)`` from ``default_rng(seed)``.
+    1e-12. A restart ends at max |r| <= 1e-14, once ||r||^2 has fallen by
+    under 1 % over 10 trials, or at ``max_iters``; its last iterate is then
+    built as the ``ObservableBasis`` F W, which checks its Gram matrix.
+    Restart k starts from U_k, the (k + 1)-th draw of
+    ``random_observable_basis(d, rng)`` from ``default_rng(seed)``.
     The returned basis is the one of highest M, the earlier on ties; once its
     max |r| <= ``tol_mub``, the remaining restarts are skipped, and
     ``certified_mub`` is ``mub_certificate`` on it.
@@ -152,12 +150,11 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
     trajectory: list[tuple[int, float]] = []
     restarts_used = 0
 
-    for restart in range(config.restarts):
+    for _ in range(config.restarts):
         if best_deviation <= config.tol_mub:
             break
         restarts_used += 1
-        start = random_observable_basis(d, rng).vectors if restart else np.eye(d)
-        overlaps = fixed_dagger @ start
+        overlaps = fixed_dagger @ random_observable_basis(d, rng).vectors
         residual = np.abs(overlaps) ** 2 - 1.0 / d
         cost = np.vdot(residual, residual)
         costs = [cost]
@@ -170,8 +167,6 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
                 if np.abs(residual).max() <= RESIDUAL_TOL:
                     break
                 gram, descent = _normal_equations(overlaps, residual, directions)
-                if not descent.any():
-                    break
             x = np.linalg.solve(gram + damping * identity, descent)
             # H(x)[a, b] = x_2p + i x_2p+1, and eigh reads the upper triangle alone
             generator[rows_a, rows_b] = x.view(complex)
@@ -185,8 +180,7 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
             damping = max(min(damping / 10.0, cost), DAMPING_FLOOR) if moved else 10.0 * damping
             costs.append(cost)
             trajectory.append((iteration, _score(cost, d)))
-            stalled = iteration >= STALL_WINDOW and cost > STALL_RATIO * costs[-1 - STALL_WINDOW]
-            if damping > DAMPING_CEILING or stalled:
+            if iteration >= STALL_WINDOW and cost > STALL_RATIO * costs[-1 - STALL_WINDOW]:
                 break
 
         # every restart's last iterate passes the Gram check, best or not

@@ -42,7 +42,6 @@ from qincompat.measures import (
     _overlap_form,
 )
 from qincompat.mubsearch import (
-    DAMPING_CEILING,
     DAMPING_FLOOR,
     RESIDUAL_TOL,
     STALL_RATIO,
@@ -325,12 +324,11 @@ def reference_search(fixed: ObservableBasis, config: SearchConfig) -> SearchResu
     best_deviation = np.inf
     trajectory = []
     restarts_used = 0
-    for restart in range(config.restarts):
+    for _ in range(config.restarts):
         if best_deviation <= config.tol_mub:
             break
         restarts_used += 1
-        start = random_observable_basis(d, rng).vectors if restart else np.eye(d)
-        overlaps = fixed.vectors.conj().T @ start
+        overlaps = fixed.vectors.conj().T @ random_observable_basis(d, rng).vectors
         residual = (np.abs(overlaps) ** 2 - 1.0 / d).ravel()
         costs = [residual @ residual]
         current = _overlap_form(np.abs(overlaps) ** 2)
@@ -341,8 +339,6 @@ def reference_search(fixed: ObservableBasis, config: SearchConfig) -> SearchResu
                 break
             jacobian = residual_jacobian(overlaps)
             gradient = jacobian.T @ residual
-            if not gradient.any():
-                break
             x = np.linalg.solve(jacobian.T @ jacobian + damping * np.eye(len(gradient)), -gradient)
             generator = np.zeros((d, d), dtype=complex)
             for p, (a, b) in enumerate(pairs):
@@ -359,8 +355,7 @@ def reference_search(fixed: ObservableBasis, config: SearchConfig) -> SearchResu
                 damping *= 10.0
             costs.append(residual @ residual)
             trajectory.append((iteration, current))
-            stalled = iteration >= STALL_WINDOW and costs[-1] > STALL_RATIO * costs[-1 - STALL_WINDOW]
-            if damping > DAMPING_CEILING or stalled:
+            if iteration >= STALL_WINDOW and costs[-1] > STALL_RATIO * costs[-1 - STALL_WINDOW]:
                 break
         basis = ObservableBasis(fixed.vectors @ overlaps)
         if current > best_value:

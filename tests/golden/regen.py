@@ -26,8 +26,9 @@ from qincompat.cli import main  # noqa: E402
 CASES = [
     ["mub", "--dim", str(d), "--seed", str(seed)] for d in (2, 3, 4, 5, 6, 8, 9) for seed in (0, 1)
 ] + [["mub", "--dim", str(d), "--seed", "0"] for d in (7, 10, 12, 16)] + [
-    # with one restart the d = 16 search stops at its critical computational
-    # start; the second case runs one Haar start for at most 60 trials
+    # one Haar start at d = 3 certifies; at d = 16 one start stalls short
+    # of the certificate, and the last case cuts each start at 60 trials
+    ["mub", "--dim", "3", "--restarts", "1", "--seed", "0"],
     ["mub", "--dim", "16", "--restarts", "1", "--seed", "0"],
     ["mub", "--dim", "16", "--restarts", "2", "--max-iters", "60", "--seed", "0"],
 ]

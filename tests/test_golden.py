@@ -15,7 +15,7 @@ CASES = sorted(GOLDEN.glob("*.out"))
 
 
 def test_corpus_is_present():
-    assert len(CASES) == 20
+    assert len(CASES) == 21
 
 
 @pytest.mark.parametrize("path", CASES, ids=lambda path: path.stem)

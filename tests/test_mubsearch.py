@@ -26,15 +26,11 @@ from _oracles import (
 from _util import qubit_basis
 
 
-def _start_cost(fixed: ObservableBasis, start: ObservableBasis) -> float:
-    """||r||^2 of the residuals r = T - 1/d at a start, as the search forms it."""
-    residual = transition_matrix(fixed, start) - 1.0 / fixed.dim
-    return np.vdot(residual, residual)
-
-
 def _start_score(fixed: ObservableBasis, start: ObservableBasis) -> float:
-    """The objective the search records for a start: M read off ||r||^2."""
-    return mubsearch._score(_start_cost(fixed, start), fixed.dim)
+    """The objective the search records for a start: M read off ||r||^2 of
+    the residuals r = T - 1/d, as the search forms them."""
+    residual = transition_matrix(fixed, start) - 1.0 / fixed.dim
+    return mubsearch._score(np.vdot(residual, residual), fixed.dim)
 
 
 class TestMubCertificate:
@@ -81,15 +77,6 @@ class TestMaximizeIncompatibility:
         result = maximize_incompatibility(ObservableBasis.computational(3), config)
         assert result.objective >= 1.0 - 1e-6
         assert result.certified_mub
-
-    def test_escapes_the_global_minimum_start(self):
-        # the first start is the fixed basis itself, where the objective is
-        # zero with a vanishing gradient; the restart machinery must escape
-        config = SearchConfig(dim=4, restarts=3, max_iters=60, seed=3)
-        result = maximize_incompatibility(ObservableBasis.computational(4), config)
-        assert result.trajectory[0][1] == pytest.approx(0.0, abs=1e-12)
-        assert result.objective > 0.5
-        assert result.restarts_used >= 2
 
     def test_deterministic_given_seed(self):
         config = SearchConfig(dim=3, restarts=4, max_iters=40, seed=42)
@@ -216,21 +203,32 @@ class TestMaximizeIncompatibility:
 
 class TestRiemannianAscent:
     def test_restarts_start_from_the_seeded_draws(self):
-        # the first start is the computational basis and restart k >= 1 the
-        # k-th Haar draw of default_rng(seed), each seen from the fixed basis;
-        # one step from a Haar start certifies no restart, so all four run
+        # restart k starts from the (k + 1)-th Haar draw of default_rng(seed),
+        # seen from the fixed basis; one step from a Haar start certifies no
+        # restart, so all four run
         d, seed = 4, 17
         config = SearchConfig(dim=d, restarts=4, max_iters=1, seed=seed)
-        computational = ObservableBasis.computational(d)
-        for fixed in (computational, random_observable_basis(d, np.random.default_rng(330))):
+        for fixed in (
+            ObservableBasis.computational(d),
+            random_observable_basis(d, np.random.default_rng(330)),
+        ):
             result = maximize_incompatibility(fixed, config)
             starts = [value for iteration, value in result.trajectory if iteration == 0]
             assert len(starts) == result.restarts_used == 4
-            assert starts[0] == _start_score(fixed, computational)
             rng = np.random.default_rng(seed)
-            for value in starts[1:]:
+            for value in starts:
                 draw = random_observable_basis(d, rng)
                 assert value == _start_score(fixed, draw)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_one_restart_certifies_against_the_computational_basis(self, d):
+        # the fixed basis itself is a critical point of M = 0 that no step
+        # leaves, so not even the first restart may start there
+        fixed = ObservableBasis.computational(d)
+        result = maximize_incompatibility(fixed, SearchConfig(dim=d, restarts=1, seed=0))
+        assert result.restarts_used == 1
+        assert result.certified_mub
+        assert result.objective > 1.0 - 1e-12
 
     @pytest.mark.parametrize(
         "d, restarts, max_iters",
@@ -252,9 +250,10 @@ class TestNoDeadWork:
         assert result.restarts_used < 12
         assert result.certified_mub
         assert 1.0 - result.objective <= 1e-12
-        # the critical start and 8 trials: damping from ||r||^2 rejects none
-        # of them (damping from 1e-3 took 14 trials, 5 of them rejected)
-        assert len(result.trajectory) <= 10
+        # one Haar start and 8 trials: damping from ||r||^2 rejects none of
+        # them (damping from 1e-3 took 14 trials, 5 of them rejected)
+        assert result.restarts_used == 1
+        assert len(result.trajectory) <= 9
 
     @staticmethod
     def _record_calls(monkeypatch):
@@ -281,28 +280,6 @@ class TestNoDeadWork:
         monkeypatch.setattr(mubsearch.np.linalg, "solve", counting_solve)
         monkeypatch.setattr(mubsearch.np.linalg, "eigh", counting_eigh)
         return calls
-
-    def test_critical_start_scores_no_trial(self, monkeypatch):
-        # the computational start against the computational basis has J = 0;
-        # the ascent used to back off 39 halvings on each of ten iterations
-        calls = self._record_calls(monkeypatch)
-        config = SearchConfig(dim=2, restarts=20, tol_mub=1e-6, seed=3)
-        result = maximize_incompatibility(ObservableBasis.computational(2), config)
-        assert result.restarts_used >= 2
-        # no solve and no trial before the first Haar draw
-        assert calls.index("draw") == 0
-        # and its restart records the start alone
-        assert result.trajectory[0] == (0, 0.0)
-        assert result.trajectory[1][0] == 0
-
-    def test_critical_start_performs_no_solve(self, monkeypatch):
-        # J^T r = 0 exactly ends the restart before any linear solve
-        calls = self._record_calls(monkeypatch)
-        config = SearchConfig(dim=3, restarts=2, seed=0)
-        maximize_incompatibility(ObservableBasis.computational(3), config)
-        first_draw = calls.index("draw")
-        assert "solve" not in calls[:first_draw]
-        assert "solve" in calls[first_draw:]
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 5])
     def test_no_trial_is_solved_after_the_rounding_level(self, seed, monkeypatch):
@@ -390,16 +367,24 @@ class TestLevenbergMarquardt:
         _, descent = _normal_equations(overlaps, np.abs(overlaps) ** 2 - 1.0 / d, _directions(d))
         np.testing.assert_allclose(2.0 * descent / (d - 1), rates, rtol=0, atol=1e-13)
 
-    def test_stalled_start_stops_at_the_damping_ceiling(self, monkeypatch):
-        # steps along +J^T r raise ||r||^2 and are all rejected, so each
-        # restart multiplies lambda by 10 from ||r_0||^2 until it passes 1e8
+    def test_stalled_start_stops_at_the_stall_window(self, monkeypatch):
+        # steps along +J^T r raise ||r||^2 and are all rejected, so ||r||^2
+        # stands still and the stall stop ends each restart after
+        # STALL_WINDOW trials, while lambda grows tenfold per trial
         formed = mubsearch._normal_equations
+        solve = np.linalg.solve
+        solved = []
 
         def ascent(overlaps, residual, directions):
             gram, descent = formed(overlaps, residual, directions)
             return gram, -descent
 
+        def recording_solve(a, b):
+            solved.append(a)
+            return solve(a, b)
+
         monkeypatch.setattr(mubsearch, "_normal_equations", ascent)
+        monkeypatch.setattr(mubsearch.np.linalg, "solve", recording_solve)
         d = 3
         fixed = random_observable_basis(d, np.random.default_rng(370))
         result = maximize_incompatibility(fixed, SearchConfig(dim=d, restarts=3, seed=0))
@@ -408,19 +393,13 @@ class TestLevenbergMarquardt:
             if iteration == 0:
                 restarts.append([])
             restarts[-1].append(value)
-        rng = np.random.default_rng(0)
-        starts = [ObservableBasis.computational(d)] + [random_observable_basis(d, rng) for _ in range(2)]
-        expected = []
-        for start in starts:
-            damping, trials = max(_start_cost(fixed, start), mubsearch.DAMPING_FLOOR), 0
-            while damping <= mubsearch.DAMPING_CEILING:
-                damping, trials = damping * 10.0, trials + 1
-            # the ceiling, not the stall stop, ends these restarts
-            assert trials < mubsearch.STALL_WINDOW
-            expected.append(1 + trials)
+        assert [len(values) for values in restarts] == [mubsearch.STALL_WINDOW + 1] * 3
         # no trial was accepted: each restart repeats its start value
-        assert [len(values) for values in restarts] == expected
-        assert all(len(set(values)) == 1 for values in restarts)
+        rng = np.random.default_rng(0)
+        for values in restarts:
+            assert values == [_start_score(fixed, random_observable_basis(d, rng))] * len(values)
+        assert len(solved) == 3 * mubsearch.STALL_WINDOW
+        assert all(np.isfinite(a).all() for a in solved)
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_every_accepted_step_lowers_the_residual(self, d, monkeypatch):
@@ -562,7 +541,5 @@ class TestReferenceSearch:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_follows_the_dense_jacobian_search_from_random_fixed_bases(self, d, seed):
-        # against a random basis the computational start is no critical point,
-        # so the first restart steps too
         fixed = random_observable_basis(d, np.random.default_rng(700 + seed))
         _assert_follows_the_reference(fixed, SearchConfig(dim=d, restarts=4, seed=seed))
