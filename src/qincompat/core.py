@@ -184,12 +184,10 @@ class ObservableBasis:
 
 
 class _ContextRecord(NamedTuple):
-    """What every context measure is read off: the Born distribution p in the
-    first basis, T, q = T^T p, the rows d p - 1 and T^T (d p - 1), I(p), I(q)."""
+    """What every context measure is read off: T, the deviation rows d p - 1 and
+    T^T (d p - 1) = d q - 1 of p in the first basis and q = T^T p, and I(p), I(q)."""
 
-    p: np.ndarray
     trans: np.ndarray
-    q: np.ndarray
     rows: np.ndarray
     i_initial: float
     i_final: float
@@ -221,14 +219,12 @@ class Context:
     @cached_property
     def _record(self) -> _ContextRecord:
         """Computed on first use; every array is read-only."""
-        p = outcome_probabilities(self.state, self.first)
         trans = transition_matrix(self.first, self.second)
-        alpha = self.dim * p - 1.0
+        alpha = self.dim * outcome_probabilities(self.state, self.first) - 1.0
         rows = np.array([alpha, trans.T @ alpha])
-        q = trans.T @ p
-        for arr in (p, trans, q, rows):
+        for arr in (trans, rows):
             arr.setflags(write=False)
-        return _ContextRecord(p, trans, q, rows, *_information(rows).tolist())
+        return _ContextRecord(trans, rows, *_information(rows).tolist())
 
 
 def probability_vector(values: np.ndarray) -> np.ndarray:
@@ -256,11 +252,8 @@ def probability_vector(values: np.ndarray) -> np.ndarray:
 
 
 def shannon_entropy(probabilities: np.ndarray) -> float:
-    """H(p) = -sum p ln p in nats, with the 0 ln 0 = 0 convention."""
-    probs = np.asarray(probabilities, dtype=float)
-    # the > 0 filter below would drop a NaN silently
-    if not np.isfinite(probs).all():
-        raise InvariantViolationError("probabilities have non-finite entries")
+    """H(p) = -sum p ln p in nats, 0 ln 0 = 0, of a checked ``probability_vector``."""
+    probs = probability_vector(probabilities)
     probs = probs[probs > 0.0]
     return float(-(probs * np.log(probs)).sum())
 

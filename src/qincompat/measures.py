@@ -7,11 +7,11 @@ when the observables commute or when the first measurement already leaves
 the state maximally mixed; ``classify_context`` separates the two free
 cases from everything else.
 
-Every context measure is a closed form in the Born distribution p of the
-first basis, the transition matrix T_jk = |<x_j|y_k>|^2 and q = T^T p; no
-dephased state is built for them. The context computes these, and the
-informations ln d - H(p) and ln d - H(q), once into its read-only record,
-which every measure here reads.
+Every context measure is a closed form in T_jk = |<x_j|y_k>|^2 and the
+deviation rows alpha = d p - 1 and beta = T^T alpha = d q - 1, for p the Born
+distribution of the first basis and q = T^T p; no dephased state is built.
+The context computes T, the rows and the informations ln d - H(p) and
+ln d - H(q) once into its read-only record, which every measure here reads.
 """
 
 from __future__ import annotations
@@ -84,19 +84,11 @@ def _commutator_norm(trans: np.ndarray) -> float:
     return math.sqrt(2.0 * float((trans * others).sum()))
 
 
-def _spread_sq(p: np.ndarray) -> float:
-    """||p - 1/d||^2, which equals ||sigma - I/d||^2 for the dephased state."""
-    return float(((p - 1.0 / len(p)) ** 2).sum())
-
-
-def _leakage(record: _ContextRecord) -> float:
-    """sum_jk T_jk (p_j - q_k)^2 / ||p - 1/d||^2, zero information rejected."""
-    denominator = _spread_sq(record.p)
-    if math.sqrt(denominator) <= ZERO_INFO_NORM_TOL:
-        raise ZeroInformationError(
-            "dephased state is maximally mixed; leakage ratio undefined"
-        )
-    return float((record.trans * (record.p[:, None] - record.q) ** 2).sum()) / denominator
+def _uninformative(record: _ContextRecord) -> bool:
+    """The zero-information rule ||p - 1/d|| = ||alpha|| / d <= 1e-10: the
+    dephased state lies within 1e-10 of I/d."""
+    alpha = record.rows[0]
+    return math.sqrt(float(alpha @ alpha)) / len(alpha) <= ZERO_INFO_NORM_TOL
 
 
 def context_incompatibility(ctx: Context) -> float:
@@ -115,12 +107,19 @@ def leakage_ratio(ctx: Context) -> float:
     """Extracted over injected information in the large-noise limit.
 
     The squared Hilbert-Schmidt norm ratio ||tau - sigma||^2 / ||sigma - I/d||^2
-    of the once- and twice-dephased states, in [0, 1], evaluated as
-    sum_jk T_jk (p_j - q_k)^2 / ||p - 1/d||^2. Undefined (raises) when the
+    of the once- and twice-dephased states, in [0, 1], which equals
+    sum_jk T_jk (p_j - q_k)^2 / ||p - 1/d||^2 and is evaluated on the deviation
+    rows as sum_jk T_jk (alpha_j - beta_k)^2 / ||alpha||^2. Undefined (raises) when the
     first measurement leaves the state maximally mixed, ||p - 1/d|| <= 1e-10,
     the same zero-information rule as ``classify_context``.
     """
-    return _leakage(ctx._record)
+    record = ctx._record
+    if _uninformative(record):
+        raise ZeroInformationError(
+            "dephased state is maximally mixed; leakage ratio undefined"
+        )
+    alpha, beta = record.rows
+    return float((record.trans * (alpha[:, None] - beta) ** 2).sum()) / float(alpha @ alpha)
 
 
 def eigenstate_ratio(j: int, first: ObservableBasis, second: ObservableBasis) -> float:
@@ -165,13 +164,10 @@ def classify_context(ctx: Context) -> ContextClass:
     the dephased state from the maximally mixed one. Eigenvalues play no
     part in either test.
     """
-    return _classify(ctx._record)
-
-
-def _classify(record: _ContextRecord) -> ContextClass:
+    record = ctx._record
     if _commutator_norm(record.trans) <= COMMUTATION_TOL:
         return ContextClass.FREE_COMMUTING
-    if math.sqrt(_spread_sq(record.p)) <= ZERO_INFO_NORM_TOL:
+    if _uninformative(record):
         return ContextClass.FREE_ZERO_INFO
     return ContextClass.RESOURCEFUL
 
@@ -223,24 +219,18 @@ def _commutation_gaps(
 
 def validate_free_operation(
     kraus: list[np.ndarray], first: ObservableBasis, second: ObservableBasis
-) -> None:
-    """Check that a Kraus channel qualifies as a free operation.
-
-    Reads each condition off the channel's d^2 x d^2 transfer matrix S, in
-    this order: d x d operators, finite entries, unitality S vec(I) = vec(I)
-    and trace preservation vec(I)^T S = vec(I)^T (entrywise to 1e-10), then
-    commutation with the first dephasing map on every matrix unit before the
-    sequential one (Hilbert-Schmidt gap 1e-9 per unit). Raises
-    DimensionMismatchError for bases of two dimensions, before any of these,
-    and ChannelValidationError naming the first violated condition.
-    """
-    _validated_transfer(kraus, first, second)
-
-
-def _validated_transfer(
-    kraus: list[np.ndarray], first: ObservableBasis, second: ObservableBasis
 ) -> np.ndarray:
-    """``validate_free_operation``, returning the transfer matrix S it checked."""
+    """Check that a Kraus channel qualifies as a free operation, and return
+    its d^2 x d^2 transfer matrix S = sum_k K_k (x) conj(K_k).
+
+    Reads each condition off S, in this order: d x d operators, finite
+    entries, unitality S vec(I) = vec(I) and trace preservation
+    vec(I)^T S = vec(I)^T (entrywise to 1e-10), then commutation with the
+    first dephasing map on every matrix unit before the sequential one
+    (Hilbert-Schmidt gap 1e-9 per unit). Raises DimensionMismatchError for
+    bases of two dimensions, before any of these, and ChannelValidationError
+    naming the first violated condition.
+    """
     _require_same_dim(first.dim, second.dim)
     d = first.dim
     if any(np.shape(k) != (d, d) for k in kraus):
@@ -271,7 +261,7 @@ def monotonicity_check(ctx: Context, kraus: list[np.ndarray]) -> tuple[float, fl
     with its transfer matrix S; a valid free operation can never increase
     the resource, and that is enforced at slack 1e-9.
     """
-    transfer = _validated_transfer(kraus, ctx.first, ctx.second)
+    transfer = validate_free_operation(kraus, ctx.first, ctx.second)
     before = context_incompatibility(ctx)
     mapped = DensityMatrix((transfer @ ctx.state.entries.ravel()).reshape(ctx.dim, ctx.dim))
     after = context_incompatibility(Context(mapped, ctx.first, ctx.second))
@@ -283,10 +273,11 @@ def monotonicity_check(ctx: Context, kraus: list[np.ndarray]) -> tuple[float, fl
 
 
 def incompatibility_report(ctx: Context) -> IncompatibilityReport:
-    """Compute every measure of a context from its (p, T, q) record."""
+    """Every measure of a context: its cached record of T, the deviation rows
+    and I(p), I(q), composed with ``leakage_ratio`` and ``classify_context``."""
     record = ctx._record
     try:
-        ratio: float | None = _leakage(record)
+        ratio: float | None = leakage_ratio(ctx)
     except ZeroInformationError:
         ratio = None
     return IncompatibilityReport(
@@ -295,5 +286,5 @@ def incompatibility_report(ctx: Context) -> IncompatibilityReport:
         i_final=record.i_final,
         ratio=ratio,
         m_measurement=_overlap_form(record.trans),
-        classification=_classify(record),
+        classification=classify_context(ctx),
     )

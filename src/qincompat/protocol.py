@@ -9,9 +9,9 @@ sweeps, the small-noise quadratic expansion, and the finite-strength
 (weak) measurement model live here as well.
 
 The ledger, the sweeps and the expansion are closed forms in the context's
-record of (p, T, q) and informations; no dilation or dephased state is built
-for them. A sweep scales the record's deviation rows, so its eps = 1 point
-equals the ledger.
+record of T, the deviation rows d p - 1 and d q - 1, and the informations;
+no dilation or dephased state is built for them. A sweep scales the record's
+deviation rows, so its eps = 1 point equals the ledger.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .core import (
     von_neumann_entropy,
 )
 from .errors import CrossCheckError, ZeroInformationError
-from .measures import _leakage
+from .measures import leakage_ratio
 
 LEDGER_BALANCE_TOL = 1e-9
 MUTUAL_INFO_FLOOR = -1e-10
@@ -132,7 +132,7 @@ def noise_sweep(ctx: Context, epsilons: np.ndarray) -> list[NoiseSweepPoint]:
         raise ValueError("noise strengths must lie in (0, 1]")
     d = ctx.dim
     record = ctx._record
-    base_ratio = _leakage(record)  # also rejects the zero-information context
+    base_ratio = leakage_ratio(ctx)  # also rejects the zero-information context
     infos = _information(eps_values[:, None, None] * record.rows).tolist()
 
     points = []
@@ -166,12 +166,12 @@ def small_eps_expansion(ctx: Context, epsilon: float) -> tuple[float, float, flo
         raise ValueError(
             f"expansion valid only for 0 < eps <= {0.1 / ctx.dim}, got {epsilon}"
         )
-    d = ctx.dim
-    record = ctx._record
-    # the purities of the once- and twice-dephased states are ||p||^2 and ||q||^2
-    i_initial_approx = epsilon**2 / 2.0 * (d * float(record.p @ record.p) - 1.0)
-    i_final_approx = epsilon**2 / 2.0 * (d * float(record.q @ record.q) - 1.0)
-    i_context_approx = _leakage(record) * i_initial_approx
+    # eps^2 (d ||p||^2 - 1) / 2, from the dephased purity ||p||^2, equals
+    # eps^2 ||d p - 1||^2 / (2 d), and likewise for q
+    rows = ctx._record.rows
+    scale = epsilon**2 / (2.0 * ctx.dim)
+    i_initial_approx, i_final_approx = (scale * (rows * rows).sum(axis=1)).tolist()
+    i_context_approx = leakage_ratio(ctx) * i_initial_approx
 
     exact = noise_sweep(ctx, np.array([epsilon]))[0]
     budget = 10.0 * epsilon**3

@@ -1,9 +1,9 @@
 """Operator-level reference routes for the closed-form measures.
 
 The library computes every context measure, and the free-context class,
-from the distributions (p, T, q), every information ln d - H(p) from the
-deviations d p - 1, and checks free operations on d^2 x d^2 transfer
-matrices. The routes here take the direct entropy difference instead, and
+from T and the deviation rows d p - 1 and T^T (d p - 1), every information
+ln d - H(p) from such deviations, and checks free operations on d^2 x d^2
+transfer matrices. The routes here take the direct entropy difference instead, and
 build the operators: projector commutators and products, dephased density
 matrices and their relative entropy, the d^2 x d^2 controlled-shift
 dilation, Kraus operators applied to each matrix unit, and the dense

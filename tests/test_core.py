@@ -416,6 +416,13 @@ class TestProbabilityVector:
             with pytest.raises(InvariantViolationError, match="^probabilities are empty$"):
                 probability_vector(empty)
 
+    @pytest.mark.parametrize("bad", [[-0.5, 1.5], [0.5, 0.7], [2.0]])
+    def test_shannon_entropy_rejects_non_distributions(self, bad):
+        # the 0 ln 0 filter used to drop negative entries and skip the sum check,
+        # returning -0.608, 0.596 and -1.386 for these
+        with pytest.raises(InvariantViolationError, match="negative|sum to"):
+            shannon_entropy(np.array(bad))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_shannon_entropy_rejects_non_finite(self, bad):
         # the 0 ln 0 filter keeps only p > 0, which would drop a NaN unseen

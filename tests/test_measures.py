@@ -461,6 +461,24 @@ class TestMonotonicity:
             with pytest.raises(DimensionMismatchError):
                 validate_free_operation(kraus, first, second)
 
+    def test_validation_returns_the_transfer_matrix(self):
+        # S = sum_k K_k (x) conj(K_k), built here term by term, maps the
+        # row-major vec(rho) to vec(sum_k K_k rho K_k^dagger)
+        rng = np.random.default_rng(130)
+        dephasing = commuting_context(3, rng)
+        cases = [
+            (random_context(3, rng), depolarizing_kraus(3, 0.4)),
+            (dephasing, list(dephasing.first.projectors())),
+        ]
+        for ctx, kraus in cases:
+            transfer = validate_free_operation(kraus, ctx.first, ctx.second)
+            expected = sum(np.kron(k, k.conj()) for k in kraus)
+            np.testing.assert_allclose(transfer, expected, atol=1e-12)
+            rho = ctx.state.entries
+            np.testing.assert_allclose(
+                (transfer @ rho.ravel()).reshape(3, 3), apply_kraus(rho, kraus), atol=1e-12
+            )
+
     def test_channel_transfer_matrix_is_built_once(self, monkeypatch):
         # the check applies the transfer matrix it validated, so it builds no
         # more of them than the validation alone
@@ -486,7 +504,7 @@ class TestContextRecord:
     def test_arrays_are_read_only(self):
         ctx = random_context(4, np.random.default_rng(131))
         record = ctx._record
-        for arr in (record.p, record.trans, record.q, record.rows):
+        for arr in (record.trans, record.rows):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0

@@ -1,5 +1,5 @@
-"""The closed-form (p, T, q) measures and the transfer-matrix channel check
-against the operator routes of ``_oracles``."""
+"""The closed-form measures on T and the deviation rows, and the
+transfer-matrix channel check, against the operator routes of ``_oracles``."""
 
 import math
 

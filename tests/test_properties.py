@@ -1,4 +1,4 @@
-"""Property tests of the (p, T, q) kernel and the Bloch layer at the edges
+"""Property tests of the closed-form kernel and the Bloch layer at the edges
 of the range.
 
 Contexts are drawn at d = 2..16 with near-pure states

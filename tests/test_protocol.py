@@ -251,8 +251,8 @@ class TestOneInformationRoute:
 
 
 class TestContextRecord:
-    """A context computes (p, T, q) and its informations once, on first use,
-    and every measure reads that record."""
+    """A context computes T, the deviation rows and its informations once, on
+    first use, and every measure reads that record."""
 
     def test_measures_share_one_evaluation(self, monkeypatch):
         calls = []
