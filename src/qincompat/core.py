@@ -30,6 +30,8 @@ PROBABILITY_SUM_TOL = 1e-10
 # far above an accepted state's entries (at most 1 + d 1e-10 in modulus), so the
 # specific diagnoses (not Hermitian, trace, negative eigenvalue) keep moderate entries
 STATE_ENTRY_LIMIT = 1e150
+# eigvalsh is backward stable to O(d EPS ||rho||_2): eigenvalues in (-d EPS, 0) are 0
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -38,9 +40,10 @@ class DensityMatrix:
 
     Construction validates finiteness, entry moduli (at most 1e150, so no
     check overflows), Hermiticity (entrywise, 1e-12), unit trace (1e-12) and
-    positivity. Eigenvalues in [-1e-10, 0) are treated as numerical dust:
-    they are clipped to zero and the spectrum renormalized. Anything more
-    negative is rejected.
+    positivity. Eigenvalues in [-1e-10, -d eps) are treated as numerical
+    dust: they are clipped to zero and the spectrum renormalized. Anything
+    more negative is rejected. Eigenvalues in [-d eps, 0) are the eigensolver's
+    own rounding and leave the entries as given.
     """
 
     entries: np.ndarray
@@ -70,7 +73,7 @@ class DensityMatrix:
             raise InvariantViolationError(
                 f"state has negative eigenvalue {vals[0]:.3e}"
             )
-        if vals[0] < 0.0:
+        if vals[0] < -mat.shape[0] * EPS:
             # rebuild from the clipped, renormalized spectrum
             vals, vecs = np.linalg.eigh(mat)
             vals = np.clip(vals, 0.0, None)
@@ -93,12 +96,16 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, ket: np.ndarray) -> "DensityMatrix":
-        """Projector onto a (normalized copy of a) state vector."""
-        vec = np.asarray(ket, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
+        """Projector onto a normalized copy of a finite, nonzero state vector."""
+        parts = np.array(ket, dtype=complex).reshape(-1).view(float)
+        if not np.isfinite(parts).all():
+            raise InvariantViolationError("state vector has non-finite entries")
+        top = np.abs(parts).max(initial=0.0)
+        if top == 0.0:
             raise InvariantViolationError("cannot normalize the zero vector")
-        vec = vec / norm
+        # an exact power-of-two rescaling, so the norm can neither overflow nor underflow
+        vec = np.ldexp(parts, -np.frexp(top)[1]).view(complex)
+        vec = vec / np.linalg.norm(vec)
         return cls(np.outer(vec, vec.conj()))
 
     @classmethod
@@ -285,11 +292,11 @@ def _information(x: np.ndarray) -> np.ndarray:
 
 
 def outcome_probabilities(rho: DensityMatrix, basis: ObservableBasis) -> np.ndarray:
-    """Born probabilities p_j of measuring ``basis`` on ``rho``."""
+    """Born probabilities p_j = <x_j| rho |x_j> of measuring ``basis`` on ``rho``,
+    from one matrix product, as a checked ``probability_vector``."""
     _require_same_dim(rho.dim, basis.dim)
     cols = basis.vectors
-    raw = np.real(np.einsum("aj,ab,bj->j", cols.conj(), rho.entries, cols))
-    return probability_vector(raw)
+    return probability_vector((cols.conj() * (rho.entries @ cols)).sum(axis=0).real)
 
 
 def dephase(rho: DensityMatrix, basis: ObservableBasis) -> DensityMatrix:

@@ -209,7 +209,7 @@ def mass_model_context_incompat(
     in sequence and the entropy gap returned; it vanishes in the
     heavy-probe limit and reproduces the projective value at saturation.
     """
-    if mass_ratio < 0.0:
+    if not mass_ratio >= 0.0:
         raise ValueError(f"mass ratio must be nonnegative, got {mass_ratio}")
     if model not in MASS_MODELS:
         raise ValueError(f"model must be one of {MASS_MODELS}, got {model!r}")

@@ -212,11 +212,16 @@ def apply_kraus(matrix: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
     return sum(k @ matrix @ k.conj().T for k in kraus)
 
 
+def born_diagonal(matrix: np.ndarray, basis: ObservableBasis) -> np.ndarray:
+    """<x_j| M |x_j> for each basis column, as one three-operand contraction."""
+    cols = basis.vectors
+    return np.einsum("aj,ab,bj->j", cols.conj(), matrix, cols)
+
+
 def dephase_matrix(matrix: np.ndarray, basis: ObservableBasis) -> np.ndarray:
     """sum_j P_j M P_j for a raw (not necessarily Hermitian) matrix."""
     cols = basis.vectors
-    diag = np.einsum("aj,ab,bj->j", cols.conj(), matrix, cols)
-    return (cols * diag) @ cols.conj().T
+    return (cols * born_diagonal(matrix, basis)) @ cols.conj().T
 
 
 def matrix_unit_gaps(

@@ -13,7 +13,9 @@ root, against the ``src/`` tree beside this directory:
     python tests/golden/regen.py
 
 A change that alters stdout on purpose commits the regenerated files and
-states how many of them changed.
+states how many of them changed. The documents are the corpus's inputs and
+are written only when missing, so a change to how states are built or
+validated cannot move them; delete a document to redraw it.
 """
 
 import contextlib
@@ -70,6 +72,8 @@ CASES = [
 
 def write_documents() -> None:
     for name, (build, dim, seed) in DOCUMENTS.items():
+        if (HERE / name).exists():
+            continue
         ctx = build(dim, np.random.default_rng(seed))
         write_document(
             HERE / name, ctx.dim, ctx.state.entries, ctx.first.vectors, ctx.second.vectors
@@ -87,9 +91,9 @@ def stdout_of(argv: list[str]) -> str:
 
 
 if __name__ == "__main__":
-    for stale in [*HERE.glob("*.out"), *HERE.glob("*.json")]:
+    for stale in HERE.glob("*.out"):
         stale.unlink()
     write_documents()
     for argv in CASES:
         (HERE / ("_".join(argv) + ".out")).write_text(stdout_of(argv))
-    print(f"wrote {len(DOCUMENTS)} documents and {len(CASES)} cases to {HERE}")
+    print(f"wrote {len(CASES)} cases on {len(DOCUMENTS)} documents to {HERE}")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qincompat.core import (
+    EPS,
     Context,
     DensityMatrix,
     ObservableBasis,
@@ -93,6 +94,50 @@ class TestDensityMatrix:
         rho = DensityMatrix.pure([3.0, 4.0j])
         assert rho.purity() == pytest.approx(1.0, abs=1e-12)
         assert rho.entries[0, 0] == pytest.approx(9 / 25)
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda mat: calls.append(mat) or eigh(mat))
+        return calls
+
+    def test_pure_states_take_one_eigendecomposition(self, eigh_calls):
+        # eigenvalues in (-d eps, 0) are the eigensolver's rounding: no eigh, no rebuild
+        rng = np.random.default_rng(290)
+        for d in range(2, 17):
+            for _ in range(20):
+                ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                ket /= np.linalg.norm(ket)
+                mat = np.outer(ket, ket.conj())
+                assert (DensityMatrix(mat).entries == mat).all()
+        assert not eigh_calls
+
+    def test_rebuilds_dust_beyond_the_eigensolver_rounding(self, eigh_calls):
+        rng = np.random.default_rng(291)
+        vecs = random_observable_basis(16, rng).vectors
+        vals = np.full(16, (1.0 + 1e-12) / 15)
+        vals[0] = -1e-12
+        rho = DensityMatrix((vecs * vals) @ vecs.conj().T)
+        assert len(eigh_calls) == 1
+        assert rho.eigenvalues()[0] > -16 * EPS
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_pure_rejects_non_finite_kets(self, bad):
+        # vec / norm used to warn (inf / inf) instead of refusing the ket
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolationError, match="non-finite"):
+                DensityMatrix.pure([bad, 1.0])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_pure_normalizes_extreme_magnitudes(self, scale):
+        # the norm used to overflow to inf (a "state trace 0.0" refusal) or
+        # underflow to 0 ("cannot normalize the zero vector")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = DensityMatrix.pure([scale, scale])
+        assert (rho.entries == DensityMatrix.pure([1.0, 1.0]).entries).all()
 
 
 class TestObservableBasis:

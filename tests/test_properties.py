@@ -40,6 +40,8 @@ from qincompat.measures import (
 from qincompat.mubsearch import SearchConfig, maximize_incompatibility, mub_certificate
 from qincompat.protocol import stinespring_ledger
 
+from _oracles import born_diagonal
+
 U = np.finfo(float).eps / 2
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None)
@@ -87,6 +89,17 @@ def overlap_form_slack(d: int) -> float:
     # inner product, then squared); sum T^2 gathers 2 d^2 such errors on
     # entries <= 1 plus d^2 u of summation, and the result is divided by d - 1
     return (8 * d**3 + d**2) * U / (d - 1)
+
+
+@PROPERTY_SETTINGS
+@given(contexts())
+def test_born_product_matches_the_three_operand_contraction(ctx):
+    # both are two d-term sums over |x_a| |rho_ab| |x_b|, whose total is at
+    # most 1 for a state, so each is within ~2 d eps = 4 d u of the exact value
+    for basis in (ctx.first, ctx.second):
+        diag = born_diagonal(ctx.state.entries, basis)
+        gap = np.abs(outcome_probabilities(ctx.state, basis) - diag.real).max()
+        assert gap <= 8 * ctx.dim * U
 
 
 @PROPERTY_SETTINGS

@@ -430,6 +430,11 @@ class TestMassModel:
         with pytest.raises(ValueError):
             mass_model_context_incompat(ctx, 1.0, "quadratic")
 
+    def test_rejects_a_nan_mass_ratio(self):
+        # NaN used to pass the sign check and fail on the measurement strength
+        with pytest.raises(ValueError, match="^mass ratio must be nonnegative, got nan$"):
+            mass_model_context_incompat(mub_qubit_eigenstate(), math.nan)
+
 
 class TestDilationConsistency:
     @pytest.mark.parametrize("d", [2, 3, 4])
