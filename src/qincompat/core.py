@@ -279,16 +279,16 @@ def _information(x: np.ndarray) -> np.ndarray:
     """ln d - H(p) along the last axis for p = (1 + x)/d: every information in
     the package, from the deviations x = d p - 1 of a stack of distributions.
 
-    The deviations keep full relative precision near uniform, where ln d - H
-    cancels. Recentering them renormalizes p and removes the first-order
-    sensitivity to the ~1e-15 stochasticity defect of a floating-point
-    transition matrix; entries x <= -1 (p = 0) contribute nothing.
+    The Csiszar sum (1/d) sum_j phi(x_j), phi(x) = (1 + x) ln(1 + x) - x >= 0, is
+    never negative, and exact near uniform with phi's series below |x| = 1e-3;
+    x <= -1 (p = 0) gives phi(-1) = 1. Deviations summing to d m, not 0, give
+    the renormalized p's information times 1 + m, plus m^2/2.
     """
     d = x.shape[-1]
-    mean = x.sum(axis=-1, keepdims=True) / d
-    x = (x - mean) / (1.0 + mean)
     logs = np.log1p(x, out=np.zeros_like(x), where=x > -1.0)
-    return ((1.0 + x) / d * logs).sum(axis=-1)
+    sq = x * x
+    series = sq * (0.5 - x * (1 / 6 - x * (1 / 12 - x * (1 / 20 - x / 30))))
+    return np.where(sq < 1e-6, series, (1.0 + x) * logs - x).sum(axis=-1) / d
 
 
 def outcome_probabilities(rho: DensityMatrix, basis: ObservableBasis) -> np.ndarray:

@@ -95,12 +95,12 @@ def context_incompatibility(ctx: Context) -> float:
     """Information consumed by the second measurement, in nats.
 
     The Shannon-entropy gap H(q) - H(p) between the composed outcome
-    distribution and the first-measurement distribution, taken as the
-    information difference that ``incompatibility_report`` reports. This route
-    is always finite; the operator relative entropy agrees with it whenever
-    that form is finite.
+    distribution and the first-measurement distribution, as the information
+    difference I(p) - I(q) that ``incompatibility_report`` reports, clamped at
+    0 against rounding (it is >= 0 by data processing). Always finite; the
+    operator relative entropy agrees with it whenever that form is finite.
     """
-    return ctx._record.i_initial - ctx._record.i_final
+    return max(ctx._record.i_initial - ctx._record.i_final, 0.0)
 
 
 def leakage_ratio(ctx: Context) -> float:
@@ -281,7 +281,7 @@ def incompatibility_report(ctx: Context) -> IncompatibilityReport:
     except ZeroInformationError:
         ratio = None
     return IncompatibilityReport(
-        i_context=record.i_initial - record.i_final,
+        i_context=context_incompatibility(ctx),
         i_initial=record.i_initial,
         i_final=record.i_final,
         ratio=ratio,

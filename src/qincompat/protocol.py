@@ -34,7 +34,6 @@ from .measures import leakage_ratio
 
 LEDGER_BALANCE_TOL = 1e-9
 MUTUAL_INFO_FLOOR = -1e-10
-ZERO_INFORMATION_FLOOR = 1e-14
 SMALL_NOISE_FLOOR = 5e-3
 SMALL_NOISE_EPS_LIMIT = 0.1
 CONCAVITY_SLACK = 1e-9
@@ -122,7 +121,9 @@ def noise_sweep(ctx: Context, epsilons: np.ndarray) -> list[NoiseSweepPoint]:
     * concavity: injected information at strength eps never exceeds eps
       times the noise-free value.
 
-    ``epsilons`` must be a one-dimensional grid (ValueError otherwise).
+    ZeroInformationError is raised for a zero-information context (the rule of
+    ``leakage_ratio``) and where the injected information underflows to 0 (at
+    eps = 1e-300, say); ValueError for a grid that is not one-dimensional.
     """
     eps_values = np.asarray(epsilons, dtype=float)
     if eps_values.ndim != 1:
@@ -137,10 +138,8 @@ def noise_sweep(ctx: Context, epsilons: np.ndarray) -> list[NoiseSweepPoint]:
 
     points = []
     for eps, (i_initial_eps, i_final_eps) in zip(eps_values.tolist(), infos):
-        if i_initial_eps < ZERO_INFORMATION_FLOOR:
-            raise ZeroInformationError(
-                f"injected information vanished at noise strength {eps}"
-            )
+        if not i_initial_eps > 0.0:
+            raise ZeroInformationError(f"injected information underflowed to 0 at eps={eps}")
         ratio_eps = (i_initial_eps - i_final_eps) / i_initial_eps
         if eps <= SMALL_NOISE_EPS_LIMIT:
             slack = max(SMALL_NOISE_FLOOR, 2.0 / 3.0 * (d - 1) * eps)

@@ -3,8 +3,9 @@
 The library computes every context measure, and the free-context class,
 from T and the deviation rows d p - 1 and T^T (d p - 1), every information
 ln d - H(p) from such deviations, and checks free operations on d^2 x d^2
-transfer matrices. The routes here take the direct entropy difference instead, and
-build the operators: projector commutators and products, dephased density
+transfer matrices. The routes here take the direct entropy difference instead,
+in floating point or with 50-digit ``mpmath`` arithmetic, and build the
+operators: projector commutators and products, dephased density
 matrices and their relative entropy, the d^2 x d^2 controlled-shift
 dilation, Kraus operators applied to each matrix unit, and the dense
 generalized Gell-Mann matrices with the SU(d) structure tensors behind the
@@ -21,6 +22,7 @@ routes, each to the tolerance named below.
 
 import math
 
+import mpmath
 import numpy as np
 
 from qincompat.core import (
@@ -67,12 +69,37 @@ SEARCH_RESOLVED_GAP = 1e-8
 SEARCH_AGREEMENT_TOL = 1e-9
 SUPPORT_EIGENVALUE_CUTOFF = 1e-12
 SUPPORT_WEIGHT_CUTOFF = 1e-10
+# every information is this close, relatively, to the 50-digit route on the
+# same deviations x, beyond the m^2/2 that their normalization defect
+# m = sum(x) / d adds; a difference of two informations, whose exact value
+# may be 0, is within that or the absolute tolerance
+EXACT_INFORMATION_REL = 1e-11
+EXACT_INFORMATION_ABS = 1e-15
 
 
 def direct_information(p: np.ndarray) -> float:
     """ln d - H(p) as the direct entropy difference, which cancels
     catastrophically near the uniform distribution."""
     return math.log(len(p)) - shannon_entropy(p)
+
+
+def exact_information(x: np.ndarray, scale: float = 1.0) -> mpmath.mpf:
+    """ln d - H(p) to 50 significant digits for p = (1 + scale x)/d, from the
+    deviations ``x`` read as exact binary numbers: the relative entropy
+    sum_j p_j ln(d p_j) of the renormalized distribution to the uniform one,
+    entries p <= 0 dropped.
+
+    The sum cancels about 2 log10(1 / max|scale x|) digits, so the working
+    precision is 50 digits more than that."""
+    x = np.ravel(x)
+    largest = scale * float(np.max(np.abs(x)))
+    cancelled = 2 * max(0, -math.floor(math.log10(largest))) if largest else 0
+    with mpmath.workdps(50 + cancelled):
+        weights = [max(1 + mpmath.mpf(scale) * mpmath.mpf(v), 0) for v in x]
+        # d p_j = d w_j / sum(w)
+        factor = len(x) / mpmath.fsum(weights)
+        ratios = [w * factor for w in weights if w > 0]
+        return mpmath.fsum(r * mpmath.log(r) for r in ratios) / len(x)
 
 
 def hs_norm_sq(matrix: np.ndarray) -> float:

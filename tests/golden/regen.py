@@ -37,8 +37,8 @@ from qincompat.cli import main  # noqa: E402
 # seed. The commuting, zero-information and MUB kinds are left out: their
 # stdout prints rounding noise around an exact value to 12 significant
 # digits (a commuting "ratio" of 1.86e-28, say), which can change with the
-# CPU's SIMD paths. They wait for informations that are non-negative by
-# construction (ROADMAP item 6) or for a digest format.
+# CPU's SIMD paths. Their informations are non-negative by construction
+# but still rounding (2.5e-32, say); they wait for a digest format.
 DOCUMENT_KINDS = {
     "mixed": random_context,
     "pure": lambda dim, rng: random_context(dim, rng, pure=True),

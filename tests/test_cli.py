@@ -238,6 +238,25 @@ class TestSweepCommand:
     def test_zero_information_exit_code(self, mixed_doc, capsys):
         assert main(["sweep", mixed_doc]) == 5
 
+    def test_underflowed_information_exit_code(self, mub_eigenstate_doc, capsys):
+        assert main(["sweep", mub_eigenstate_doc, "--eps-grid", "log:1e-300:1e-300:1"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: injected information underflowed to 0 at eps=1e-300\n"
+
+    def test_low_information_document_sweeps_the_default_grid(self, tmp_path, capsys):
+        doc = write_document(
+            tmp_path / "low.json",
+            2,
+            [[0.5 + 1e-6, 0.3], [0.3, 0.5 - 1e-6]],
+            np.eye(2),
+            ObservableBasis.fourier(2).vectors,
+        )
+        assert main(["sweep", doc]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 21
+        assert not any(field.startswith("-") for line in lines for field in line.split(","))
+
     def test_repeated_sweeps_are_byte_identical(self, mub_eigenstate_doc, capsys):
         main(["sweep", mub_eigenstate_doc])
         first = capsys.readouterr().out
@@ -507,7 +526,7 @@ class TestReadmeExample:
             "0.0001,5.00000000833e-09,0.0,1.0\n"
             "0.000162377673919,1.31832545516e-08,0.0,1.0\n"
             "0.000263665089873,3.47596402116e-08,0.0,1.0\n"
-            "0.000428133239872,9.16490383414e-08,0.0,1.0\n"
+            "0.000428133239872,9.16490383415e-08,0.0,1.0\n"
             "0.000695192796178,2.41646531393e-07,0.0,1.0\n"
             "0.00112883789168,6.37137628166e-07,0.0,1.0\n"
             "0.00183298071083,1.67991008384e-06,0.0,1.0\n"

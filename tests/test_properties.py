@@ -38,13 +38,29 @@ from qincompat.measures import (
     measurement_incompatibility,
 )
 from qincompat.mubsearch import SearchConfig, maximize_incompatibility, mub_certificate
-from qincompat.protocol import stinespring_ledger
+from qincompat.protocol import apply_noise, stinespring_ledger
 
 from _oracles import born_diagonal
+from _util import (
+    commuting_context,
+    eigenstate_context,
+    mub_mixture_context,
+    random_context,
+    zero_information_context,
+)
 
 U = np.finfo(float).eps / 2
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None)
+
+CONTEXT_KINDS = (
+    random_context,
+    lambda d, rng: random_context(d, rng, pure=True),
+    eigenstate_context,
+    commuting_context,
+    mub_mixture_context,
+    zero_information_context,
+)
 
 
 def small_rotation(d: int, angle: float, rng: np.random.Generator) -> np.ndarray:
@@ -135,15 +151,38 @@ def test_leakage_ratio_is_bounded_where_defined(ctx):
 @given(contexts())
 def test_context_incompatibility_is_nonnegative_and_reported(ctx):
     d = ctx.dim
-    value = context_incompatibility(ctx)
+    record = ctx._record
     # H(T^T p) >= H(p) for doubly stochastic T; T's rounding (~4 d u per
     # entry) lowers a q_k by at most 4 d u p_k, moving H by 4 d u (p|ln p| + p)
     # per entry, and the d-term entropy sums round within 2 (d + 2) u ln d
-    assert value >= -(4 * d**2 + 2 * (d + 2) * math.log(d)) * U
+    gap = record.i_initial - record.i_final
+    assert gap >= -(4 * d**2 + 2 * (d + 2) * math.log(d)) * U
+    # that rounding is clamped, and the report reads the clamped value
+    value = context_incompatibility(ctx)
+    assert value == max(gap, 0.0)
+    assert incompatibility_report(ctx).i_context == value
+
+
+@st.composite
+def low_information_contexts(draw) -> Context:
+    """A context of one of the six test kinds at d = 2..16, its state mixed
+    toward I/d with a strength down to 1e-12, so that its informations range
+    from ln d down to rounding."""
+    d = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ctx = draw(st.sampled_from(CONTEXT_KINDS))(d, rng)
+    strength = 10.0 ** draw(st.floats(-12.0, 0.0))
+    return Context(apply_noise(ctx.state, strength), ctx.first, ctx.second)
+
+
+@PROPERTY_SETTINGS
+@given(low_information_contexts())
+def test_no_information_is_negative(ctx):
     report = incompatibility_report(ctx)
-    # the report forms (ln d - H(p)) - (ln d - H(q)): four roundings of
-    # numbers below 2 ln d
-    assert abs(report.i_context - value) <= 8 * math.log(d) * U
+    ledger = stinespring_ledger(ctx)
+    for value in (report.i_initial, report.i_final, report.i_context):
+        assert value >= 0.0
+    assert (ledger.i_initial, ledger.i_final) == (report.i_initial, report.i_final)
 
 
 @PROPERTY_SETTINGS

@@ -17,7 +17,7 @@ from qincompat.core import (
     shannon_entropy,
     von_neumann_entropy,
 )
-from qincompat.errors import ZeroInformationError
+from qincompat.errors import CrossCheckError, ZeroInformationError
 from qincompat.measures import (
     ContextClass,
     classify_context,
@@ -201,7 +201,7 @@ class TestNoiseSweep:
             noise_sweep(ctx, np.array([0.0, 0.5]))
         with pytest.raises(ValueError):
             noise_sweep(ctx, np.array([1.5]))
-        # a NaN strength is out of range, not a vanished injection
+        # a NaN strength is out of range, not an underflowed injection
         with pytest.raises(ValueError):
             noise_sweep(ctx, np.array([math.nan]))
         # the grid must be one-dimensional: a scalar and a row matrix are not
@@ -223,6 +223,18 @@ class TestNoiseSweep:
                     assert point.i_initial_eps <= point.epsilon * i_full + 1e-9
                     gap = point.i_initial_eps - point.i_final_eps
                     assert gap <= point.epsilon * i_ctx + 1e-9
+
+    # d = 3: at eps = 1e-3 the flat floor 5e-3 is the slack, at eps = 0.1
+    # the first-order bound (2/3)(d - 1) eps = 2/15
+    @pytest.mark.parametrize("eps, slack", [(1e-3, 5e-3), (0.1, 2.0 / 15.0)])
+    def test_drift_slack_is_tight(self, eps, slack, monkeypatch):
+        ctx = random_context(3, np.random.default_rng(212))
+        ratio = noise_sweep(ctx, [eps])[0].ratio_eps
+        monkeypatch.setattr(protocol, "leakage_ratio", lambda _: ratio + 0.99 * slack)
+        noise_sweep(ctx, [eps])
+        monkeypatch.setattr(protocol, "leakage_ratio", lambda _: ratio + 1.01 * slack)
+        with pytest.raises(CrossCheckError, match="drifted"):
+            noise_sweep(ctx, [eps])
 
     def test_default_grid_shape(self):
         grid = default_epsilon_grid()
@@ -318,14 +330,15 @@ class TestContextRecord:
         assert incompatibility_report(ctx) == incompatibility_report(fresh)
         assert stinespring_ledger(ctx) == stinespring_ledger(fresh)
         assert classify_context(ctx) is ContextClass.FREE_ZERO_INFO
-        # a sweep that stops part-way through its grid leaves it intact too
+        # a sweep that stops part-way through its grid leaves it intact too:
+        # at eps = 1e-300 the injected information underflows to 0
         ctx = Context(
             DensityMatrix([[0.5 + 1e-6, 0.3], [0.3, 0.5 - 1e-6]]),
             ObservableBasis.computational(2),
             ObservableBasis.fourier(2),
         )
-        with pytest.raises(ZeroInformationError, match="vanished"):
-            noise_sweep(ctx, default_epsilon_grid())
+        with pytest.raises(ZeroInformationError, match="underflowed"):
+            noise_sweep(ctx, [1.0, 1e-300])
         fresh = Context(ctx.state, ctx.first, ctx.second)
         assert noise_sweep(ctx, [1.0]) == noise_sweep(fresh, [1.0])
         assert incompatibility_report(ctx) == incompatibility_report(fresh)
