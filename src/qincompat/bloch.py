@@ -9,9 +9,10 @@ Krammer, J. Phys. A 41, 235303, 2008), so no generator is ever built.
 
 States map to real vectors of length d^2 - 1, projectors to unit frame
 vectors, and the dephasing channels to projections onto those frames. The
-entropic and norm-based incompatibility measures all have equivalent forms
-in this geometry; they are provided here and cross-checked against the
-state-space forms in the test suite.
+context measures need only the geometry of that map: with x_j and y_k the
+frame vectors, d p_j - 1 = (d - 1) x_j . r and d T_jk - 1 = (d - 1) x_j . y_k,
+and the measures are read off the same record as the state-space forms. The
+operator routes of the test suite are their independent references.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, ObservableBasis, _information, _require_same_dim
+from .core import DensityMatrix, ObservableBasis, _context_record, _require_same_dim
 from .errors import DimensionMismatchError, InvariantViolationError, ZeroInformationError
-from .measures import ZERO_INFO_NORM_TOL
+from .measures import _overlap_form
 
 BALL_TOL = 1e-10
 UNIT_NORM_TOL = 1e-10
@@ -197,66 +198,62 @@ def geometric_maps(
     return BlochVector(d, u), BlochVector(d, v)
 
 
+def _geometric_record(r: BlochVector, xframe, yframe):
+    """The context record of a Bloch vector and two frames, by
+    d T_jk - 1 = (d-1) x_j . y_k and d p_j - 1 = (d-1) x_j . r."""
+    d = r.dim
+    xs = _frame(xframe, d)
+    trans = (1.0 + (d - 1) * (xs @ _frame(yframe, d).T)) / d
+    return _context_record(trans, (d - 1) * (xs @ r.r))
+
+
 def geometric_context_incompatibility(
     r: BlochVector, xframe: np.ndarray, yframe: np.ndarray
 ) -> float:
-    """Entropy gap between the two measured distributions, straight from
-    the frame geometry: p_j = (1 + (d-1) x_j . r)/d, and likewise y_k . u."""
-    d = r.dim
-    u, _ = geometric_maps(r, xframe, yframe)
-    rows = (d - 1) * np.stack([_frame(xframe, d) @ r.r, _frame(yframe, d) @ u.r])
-    i_first, i_second = _information(rows).tolist()
-    return i_first - i_second
+    """Entropy gap between the two measured distributions, from the frame
+    geometry: p_j = (1 + (d-1) x_j . r)/d and q = T^T p, read off the same
+    record as ``context_incompatibility``, so clamped at 0 the same way."""
+    return _geometric_record(r, xframe, yframe).i_context
 
 
 def geometric_leakage_ratio(
     r: BlochVector, xframe: np.ndarray, yframe: np.ndarray
 ) -> float:
-    """Leakage ratio 1 - |v|^2 / |u|^2 of the contracted images; undefined (raises)
-    when sqrt((d-1)/d) |u| = ||p - 1/d|| <= 1e-10, the state-space rule."""
-    u, v = geometric_maps(r, xframe, yframe)
-    denom = float(u.r @ u.r)
-    if math.sqrt((u.dim - 1) / u.dim * denom) <= ZERO_INFO_NORM_TOL:
+    """Leakage ratio 1 - |v|^2 / |u|^2 of the contracted images, from the record;
+    undefined (raises) when sqrt((d-1)/d) |u| = ||p - 1/d|| <= 1e-10, as in state space."""
+    ratio = _geometric_record(r, xframe, yframe).ratio
+    if ratio is None:
         raise ZeroInformationError(
             "first-measured image sits at the ball center; ratio undefined"
         )
-    return 1.0 - float(v.r @ v.r) / denom
+    return ratio
 
 
 def geometric_measurement_incompatibility(xframe: np.ndarray, yframe: np.ndarray) -> float:
-    """1 - ((d-1)/d^2) sum_jk (x_j . y_k)^2, clamped to [0, 1] against
-    rounding at either end."""
+    """1 - ((d-1)/d^2) sum_jk (x_j . y_k)^2, the measurement incompatibility of
+    the frames' T, clamped to [0, 1] against rounding at either end."""
     d = np.shape(xframe)[0] if np.ndim(xframe) else 0
     dots = _frame(xframe, d) @ _frame(yframe, d).T
-    value = 1.0 - (d - 1) / d**2 * float(np.sum(dots**2))
-    return min(max(value, 0.0), 1.0)
+    return _overlap_form((1.0 + (d - 1) * dots) / d)
 
 
 def qubit_measures(
     r: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, float]:
-    """Closed qubit forms of the context and measurement incompatibilities.
+    """Qubit forms of the context and measurement incompatibilities.
 
-    Takes plain finite 3-vectors: the state vector r (norm <= 1) and the unit
-    observable axes x and y. Returns the pair (entropic context
-    incompatibility, measurement incompatibility 1 - (x.y)^2).
+    Takes plain finite 3-vectors: the state vector r (norm <= 1) and unit axes x
+    and y, read as the d = 2 frames [x, -x] and [y, -y], checked finite before the
+    unit norms. Returns (context incompatibility, measurement incompatibility 1 - (x.y)^2).
     """
-    r = np.asarray(r, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    r, x, y = (np.asarray(vec, dtype=float) for vec in (r, x, y))
     for vec, name in ((r, "state vector"), (x, "x axis"), (y, "y axis")):
         if vec.shape != (3,):
             raise DimensionMismatchError(f"{name} has shape {vec.shape}, not (3,)")
-        if not np.isfinite(vec).all():
-            raise InvariantViolationError(f"{name} has non-finite entries")
+    xframe, yframe = _frame([x, -x], 2), _frame([y, -y], 2)
     for axis, name in ((x, "x"), (y, "y")):
         if abs(np.linalg.norm(axis) - 1.0) > UNIT_NORM_TOL:
             raise InvariantViolationError(f"{name} axis is not a unit vector")
-    if np.linalg.norm(r) > 1.0 + BALL_TOL:
-        raise InvariantViolationError("state vector is outside the Bloch ball")
-    xr = float(x @ r)
-    xy = float(x @ y)
-    # the outcome distributions (1 +- x.r)/2 and (1 +- x.y x.r)/2 as deviations
-    i_first, i_second = _information(np.array([[xr, -xr], [xy * xr, -xy * xr]])).tolist()
-    return i_first - i_second, 1.0 - xy**2
+    record = _geometric_record(BlochVector(2, r), xframe, yframe)
+    return record.i_context, _overlap_form(record.trans)
 

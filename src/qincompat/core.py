@@ -5,8 +5,8 @@ Conventions used throughout the package:
 * all entropic quantities are in nats (natural logarithm);
 * observable eigenbases are stored as the columns of a unitary matrix;
 * values are immutable and functions pure; a context computes its record of
-  distributions once, on first use, and the record is read-only and
-  idempotent, so concurrent sweeps may share a context.
+  measures once, on first use, and the record is read-only and idempotent,
+  so concurrent sweeps may share a context.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ PROBABILITY_SUM_TOL = 1e-10
 # far above an accepted state's entries (at most 1 + d 1e-10 in modulus), so the
 # specific diagnoses (not Hermitian, trace, negative eigenvalue) keep moderate entries
 STATE_ENTRY_LIMIT = 1e150
+ZERO_INFO_NORM_TOL = 1e-10
 # eigvalsh is backward stable to O(d EPS ||rho||_2): eigenvalues in (-d EPS, 0) are 0
 EPS = float(np.finfo(float).eps)
 
@@ -191,13 +192,30 @@ class ObservableBasis:
 
 
 class _ContextRecord(NamedTuple):
-    """What every context measure is read off: T, the deviation rows d p - 1 and
-    T^T (d p - 1) = d q - 1 of p in the first basis and q = T^T p, and I(p), I(q)."""
+    """Every context measure, computed once: T, the deviation rows d p - 1 and
+    T^T (d p - 1) = d q - 1 for q = T^T p, I(p), I(q), I(p) - I(q) and the ratio."""
 
     trans: np.ndarray
     rows: np.ndarray
     i_initial: float
     i_final: float
+    i_context: float
+    ratio: float | None
+
+
+def _context_record(trans: np.ndarray, alpha: np.ndarray) -> _ContextRecord:
+    """The read-only record of T and alpha = d p - 1: I(p) - I(q) clamped at 0
+    against rounding, and the ratio sum_jk T_jk (alpha_j - beta_k)^2 / ||alpha||^2,
+    None under the zero-information rule ||p - 1/d|| = ||alpha|| / d <= 1e-10."""
+    rows = np.array([alpha, trans.T @ alpha])
+    for arr in (trans, rows):
+        arr.setflags(write=False)
+    i_initial, i_final = _information(rows).tolist()
+    spread = float(alpha @ alpha)
+    ratio = None
+    if math.sqrt(spread) / len(alpha) > ZERO_INFO_NORM_TOL:
+        ratio = float((trans * (alpha[:, None] - rows[1]) ** 2).sum()) / spread
+    return _ContextRecord(trans, rows, i_initial, i_final, max(i_initial - i_final, 0.0), ratio)
 
 
 @dataclass(frozen=True)
@@ -226,12 +244,8 @@ class Context:
     @cached_property
     def _record(self) -> _ContextRecord:
         """Computed on first use; every array is read-only."""
-        trans = transition_matrix(self.first, self.second)
         alpha = self.dim * outcome_probabilities(self.state, self.first) - 1.0
-        rows = np.array([alpha, trans.T @ alpha])
-        for arr in (trans, rows):
-            arr.setflags(write=False)
-        return _ContextRecord(trans, rows, *_information(rows).tolist())
+        return _context_record(transition_matrix(self.first, self.second), alpha)
 
 
 def probability_vector(values: np.ndarray) -> np.ndarray:

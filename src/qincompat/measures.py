@@ -10,8 +10,8 @@ cases from everything else.
 Every context measure is a closed form in T_jk = |<x_j|y_k>|^2 and the
 deviation rows alpha = d p - 1 and beta = T^T alpha = d q - 1, for p the Born
 distribution of the first basis and q = T^T p; no dephased state is built.
-The context computes T, the rows and the informations ln d - H(p) and
-ln d - H(q) once into its read-only record, which every measure here reads.
+The context computes T, the rows, I(p), I(q), I(p) - I(q) and the leakage
+ratio once into its read-only record, which every measure here reads.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from enum import Enum
 import numpy as np
 
 from .core import (
+    ZERO_INFO_NORM_TOL,  # noqa: F401 - re-exported: the zero-information rule is in core
     Context,
     DensityMatrix,
     ObservableBasis,
-    _ContextRecord,
     _require_same_dim,
     transition_matrix,
 )
@@ -37,7 +37,6 @@ from .errors import (
 )
 
 COMMUTATION_TOL = 1e-10
-ZERO_INFO_NORM_TOL = 1e-10
 CHANNEL_STRUCTURE_TOL = 1e-10
 CHANNEL_COMMUTATION_TOL = 1e-9
 MONOTONICITY_SLACK = 1e-9
@@ -84,23 +83,16 @@ def _commutator_norm(trans: np.ndarray) -> float:
     return math.sqrt(2.0 * float((trans * others).sum()))
 
 
-def _uninformative(record: _ContextRecord) -> bool:
-    """The zero-information rule ||p - 1/d|| = ||alpha|| / d <= 1e-10: the
-    dephased state lies within 1e-10 of I/d."""
-    alpha = record.rows[0]
-    return math.sqrt(float(alpha @ alpha)) / len(alpha) <= ZERO_INFO_NORM_TOL
-
-
 def context_incompatibility(ctx: Context) -> float:
     """Information consumed by the second measurement, in nats.
 
     The Shannon-entropy gap H(q) - H(p) between the composed outcome
     distribution and the first-measurement distribution, as the information
-    difference I(p) - I(q) that ``incompatibility_report`` reports, clamped at
-    0 against rounding (it is >= 0 by data processing). Always finite; the
-    operator relative entropy agrees with it whenever that form is finite.
+    difference I(p) - I(q), clamped at 0 against rounding (it is >= 0 by data
+    processing): the record's ``i_context``. Always finite; the operator
+    relative entropy agrees with it whenever that form is finite.
     """
-    return max(ctx._record.i_initial - ctx._record.i_final, 0.0)
+    return ctx._record.i_context
 
 
 def leakage_ratio(ctx: Context) -> float:
@@ -109,17 +101,16 @@ def leakage_ratio(ctx: Context) -> float:
     The squared Hilbert-Schmidt norm ratio ||tau - sigma||^2 / ||sigma - I/d||^2
     of the once- and twice-dephased states, in [0, 1], which equals
     sum_jk T_jk (p_j - q_k)^2 / ||p - 1/d||^2 and is evaluated on the deviation
-    rows as sum_jk T_jk (alpha_j - beta_k)^2 / ||alpha||^2. Undefined (raises) when the
-    first measurement leaves the state maximally mixed, ||p - 1/d|| <= 1e-10,
-    the same zero-information rule as ``classify_context``.
+    rows as sum_jk T_jk (alpha_j - beta_k)^2 / ||alpha||^2, the record's ``ratio``.
+    Undefined (raises) where that is None: the first measurement leaves the
+    state maximally mixed, ||p - 1/d|| <= 1e-10, as ``classify_context`` tests.
     """
-    record = ctx._record
-    if _uninformative(record):
+    ratio = ctx._record.ratio
+    if ratio is None:
         raise ZeroInformationError(
             "dephased state is maximally mixed; leakage ratio undefined"
         )
-    alpha, beta = record.rows
-    return float((record.trans * (alpha[:, None] - beta) ** 2).sum()) / float(alpha @ alpha)
+    return ratio
 
 
 def eigenstate_ratio(j: int, first: ObservableBasis, second: ObservableBasis) -> float:
@@ -161,13 +152,13 @@ def classify_context(ctx: Context) -> ContextClass:
     norm sqrt(sum_jk ||[P_j, Q_k]||^2), read off T, is at most 1e-10. It is
     checked first; a context that is free both ways reports FREE_COMMUTING.
     Zero information means ||p - 1/d|| <= 1e-10, which is the distance of
-    the dephased state from the maximally mixed one. Eigenvalues play no
-    part in either test.
+    the dephased state from the maximally mixed one, and where the record's
+    leakage ratio is None. Eigenvalues play no part in either test.
     """
     record = ctx._record
     if _commutator_norm(record.trans) <= COMMUTATION_TOL:
         return ContextClass.FREE_COMMUTING
-    if _uninformative(record):
+    if record.ratio is None:
         return ContextClass.FREE_ZERO_INFO
     return ContextClass.RESOURCEFUL
 
@@ -273,18 +264,14 @@ def monotonicity_check(ctx: Context, kraus: list[np.ndarray]) -> tuple[float, fl
 
 
 def incompatibility_report(ctx: Context) -> IncompatibilityReport:
-    """Every measure of a context: its cached record of T, the deviation rows
-    and I(p), I(q), composed with ``leakage_ratio`` and ``classify_context``."""
+    """Every measure of a context, read off its cached record, with the
+    measurement incompatibility of T and ``classify_context``."""
     record = ctx._record
-    try:
-        ratio: float | None = leakage_ratio(ctx)
-    except ZeroInformationError:
-        ratio = None
     return IncompatibilityReport(
-        i_context=context_incompatibility(ctx),
+        i_context=record.i_context,
         i_initial=record.i_initial,
         i_final=record.i_final,
-        ratio=ratio,
+        ratio=record.ratio,
         m_measurement=_overlap_form(record.trans),
         classification=classify_context(ctx),
     )

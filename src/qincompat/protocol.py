@@ -37,6 +37,7 @@ MUTUAL_INFO_FLOOR = -1e-10
 SMALL_NOISE_FLOOR = 5e-3
 SMALL_NOISE_EPS_LIMIT = 0.1
 CONCAVITY_SLACK = 1e-9
+SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 MASS_MODELS = ("linear", "saturating")
 
@@ -122,8 +123,8 @@ def noise_sweep(ctx: Context, epsilons: np.ndarray) -> list[NoiseSweepPoint]:
       times the noise-free value.
 
     ZeroInformationError is raised for a zero-information context (the rule of
-    ``leakage_ratio``) and where the injected information underflows to 0 (at
-    eps = 1e-300, say); ValueError for a grid that is not one-dimensional.
+    ``leakage_ratio``) and where the injected information is subnormal, below
+    2.2e-308 (eps = 1e-158, say); ValueError for a grid that is not 1-D.
     """
     eps_values = np.asarray(epsilons, dtype=float)
     if eps_values.ndim != 1:
@@ -138,8 +139,8 @@ def noise_sweep(ctx: Context, epsilons: np.ndarray) -> list[NoiseSweepPoint]:
 
     points = []
     for eps, (i_initial_eps, i_final_eps) in zip(eps_values.tolist(), infos):
-        if not i_initial_eps > 0.0:
-            raise ZeroInformationError(f"injected information underflowed to 0 at eps={eps}")
+        if not i_initial_eps >= SMALLEST_NORMAL:
+            raise ZeroInformationError(f"injected information underflowed below 2.2e-308 at eps={eps}")
         ratio_eps = (i_initial_eps - i_final_eps) / i_initial_eps
         if eps <= SMALL_NOISE_EPS_LIMIT:
             slack = max(SMALL_NOISE_FLOOR, 2.0 / 3.0 * (d - 1) * eps)

@@ -9,7 +9,9 @@ operators: projector commutators and products, dephased density
 matrices and their relative entropy, the d^2 x d^2 controlled-shift
 dilation, Kraus operators applied to each matrix unit, and the dense
 generalized Gell-Mann matrices with the SU(d) structure tensors behind the
-Bloch layer's coordinates and its wedge and star products. The MUB search
+Bloch layer's coordinates and its wedge and star products; the Bloch layer
+reads its measures off the same (p, T) record, and the leakage ratio here is
+also the contraction 1 - |v|^2 / |u|^2 of the dephased images. The MUB search
 drives the overlap residuals to zero by Levenberg-Marquardt on W = F^H U;
 here the incompatibility's Riemannian gradient is taken on W and, with the
 fixed basis F in every product, on the candidate U itself, and the tests
@@ -25,6 +27,7 @@ import math
 import mpmath
 import numpy as np
 
+from qincompat.bloch import BlochVector, geometric_maps
 from qincompat.core import (
     Context,
     DensityMatrix,
@@ -174,6 +177,14 @@ def operator_leakage(ctx: Context) -> tuple[float, float]:
         hs_norm_sq(tau.entries - sigma.entries),
         hs_norm_sq(sigma.entries - np.eye(d) / d),
     )
+
+
+def contraction_ratio(r: BlochVector, xframe: np.ndarray, yframe: np.ndarray) -> float:
+    """The leakage ratio as the contraction 1 - |v|^2 / |u|^2 of the images u and
+    v of r under the two dephasing maps in Bloch space; the second map projects
+    orthogonally, so |u - v|^2 = |u|^2 - |v|^2."""
+    u, v = geometric_maps(r, xframe, yframe)
+    return 1.0 - float(v.r @ v.r) / float(u.r @ u.r)
 
 
 def projector_commutator_norm(first: ObservableBasis, second: ObservableBasis) -> float:

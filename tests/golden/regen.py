@@ -66,6 +66,7 @@ CASES = [
         ["--bits", "measure", name],
         ["protocol", name],
         ["sweep", name, "--eps-grid", "log:1e-4:1:5"],
+        ["bloch", name],
     )
 ]
 

@@ -42,7 +42,7 @@ from qincompat.measures import (
     measurement_incompatibility,
 )
 
-from _oracles import gell_mann, structure_tensors
+from _oracles import contraction_ratio, gell_mann, structure_tensors
 from _util import bloch_axis, qubit_basis, random_context, write_document
 
 PAULI = {
@@ -439,6 +439,9 @@ class TestGeometricMeasures:
             ctx = random_context(d, rng)
             r, xframe, yframe = frames_of(ctx)
             assert geometric_leakage_ratio(r, xframe, yframe) == pytest.approx(
+                leakage_ratio(ctx), abs=1e-10
+            )
+            assert contraction_ratio(r, xframe, yframe) == pytest.approx(
                 leakage_ratio(ctx), abs=1e-10
             )
 

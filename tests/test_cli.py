@@ -242,7 +242,7 @@ class TestSweepCommand:
         assert main(["sweep", mub_eigenstate_doc, "--eps-grid", "log:1e-300:1e-300:1"]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: injected information underflowed to 0 at eps=1e-300\n"
+        assert captured.err == "error: injected information underflowed below 2.2e-308 at eps=1e-300\n"
 
     def test_low_information_document_sweeps_the_default_grid(self, tmp_path, capsys):
         doc = write_document(
@@ -567,3 +567,12 @@ class TestReadmeExample:
     def test_example_is_accepted(self, command, capsys):
         assert main([command, str(self.EXAMPLE)]) == 0
         assert capsys.readouterr().out == self.STDOUT[command]
+
+    def test_subnormal_injection_is_refused(self, capsys):
+        # eps = 1e-158 injects about 5e-317, a subnormal double
+        grid = "log:1e-158:1e-158:1"
+        assert main(["sweep", str(self.EXAMPLE), "--eps-grid", grid]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")

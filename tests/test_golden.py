@@ -17,8 +17,8 @@ CASES = sorted(GOLDEN.glob("*.out"))
 
 
 def test_corpus_is_present():
-    # 21 mub cases, and four document subcommands on each of 9 documents
-    assert len(CASES) == 21 + 4 * 9
+    # 21 mub cases, and five document subcommands on each of 9 documents
+    assert len(CASES) == 21 + 5 * 9
     assert len(list(GOLDEN.glob("*.json"))) == 9
 
 

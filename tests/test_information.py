@@ -1,13 +1,15 @@
 """Every information the package returns against the 50-digit route of
 ``_oracles``, on the six kinds of test context and on contexts whose first
-distribution lies from 1e-3 down to 1e-9 of uniform, and the sweep of
-contexts with little information.
+distribution lies from 1e-3 down to 1e-9 of uniform, the sweep of contexts
+with little information, and its refusal of subnormal injections.
 
 Each information is compared on the deviations the kernel reads, relatively
 and absolutely; a difference of two informations (the context
 incompatibility, the geometric and qubit forms) within either tolerance,
 since its exact value may be 0.
 """
+
+from functools import cache
 
 import mpmath
 import numpy as np
@@ -27,6 +29,7 @@ from qincompat.core import (
     information,
     outcome_probabilities,
 )
+from qincompat.errors import ZeroInformationError
 from qincompat.measures import ContextClass, classify_context, incompatibility_report
 from qincompat.protocol import (
     apply_noise,
@@ -127,16 +130,28 @@ def test_sweep_informations(d):
             assert_information(point.i_final_eps, beta, point.epsilon)
 
 
+@cache
+def commuting_contexts() -> dict[int, list[Context]]:
+    """Ten commuting contexts per d = 2..16, drawn in turn from one stream. Here
+    I(p) = I(q), and the unclamped gap rounds below 0 on 56 of these 150
+    geometric gaps and on 4 of the 10 qubit ones."""
+    rng = np.random.default_rng(5)
+    return {d: [commuting_context(d, rng) for _ in range(10)] for d in range(2, 17)}
+
+
 @pytest.mark.parametrize("d", range(2, 17))
 def test_geometric_and_qubit_forms(d):
-    for ctx in contexts(d):
+    for ctx in contexts(d) + commuting_contexts()[d]:
         alpha, beta = ctx._record.rows
         exact = exact_information(alpha) - exact_information(beta)
         r = state_to_bloch(ctx.state)
         xs, ys = basis_to_bloch_frame(ctx.first), basis_to_bloch_frame(ctx.second)
-        assert_difference(geometric_context_incompatibility(r, xs, ys), exact)
+        gaps = [geometric_context_incompatibility(r, xs, ys)]
         if d == 2:
-            assert_difference(qubit_measures(r.r, xs[0], ys[0])[0], exact)
+            gaps.append(qubit_measures(r.r, xs[0], ys[0])[0])
+        for gap in gaps:
+            assert gap >= 0.0
+            assert_difference(gap, max(exact, 0))
 
 
 class TestLowInformationSweep:
@@ -162,3 +177,29 @@ class TestLowInformationSweep:
             i_q = exact_information(beta, point.epsilon)
             ratio = (i_p - i_q) / i_p
             assert abs(point.ratio_eps - ratio) <= RATIO_REL * abs(ratio), point
+
+
+class TestSubnormalSweep:
+    """An injected information below the smallest normal double has lost
+    precision, so the sweep refuses it rather than print its ratio."""
+
+    @staticmethod
+    def context() -> Context:
+        return Context(
+            DensityMatrix([[0.8, 0.3], [0.3, 0.2]]),
+            ObservableBasis.computational(2),
+            qubit_basis(1.0),
+        )
+
+    @pytest.mark.parametrize("eps", [1e-154, 1e-158, 1e-160])
+    def test_refused(self, eps):
+        with pytest.raises(ZeroInformationError, match="underflowed"):
+            noise_sweep(self.context(), [eps])
+
+    def test_normal_injection_keeps_the_exact_ratio(self):
+        ctx = self.context()
+        alpha, beta = ctx._record.rows
+        (point,) = noise_sweep(ctx, [1e-150])
+        i_p = exact_information(alpha, 1e-150)
+        ratio = (i_p - exact_information(beta, 1e-150)) / i_p
+        assert abs(point.ratio_eps - ratio) <= RATIO_REL * abs(ratio)

@@ -15,6 +15,7 @@ from qincompat.core import (
     DensityMatrix,
     ObservableBasis,
     random_density_matrix,
+    _context_record,
     random_observable_basis,
     transition_matrix,
 )
@@ -24,6 +25,7 @@ from qincompat.errors import (
     ZeroInformationError,
 )
 from qincompat.measures import (
+    ZERO_INFO_NORM_TOL,
     ContextClass,
     classify_context,
     context_incompatibility,
@@ -508,6 +510,26 @@ class TestContextRecord:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+
+    def test_zero_information_boundary(self):
+        # a is where ||alpha|| / d first equals the rule's tolerance, found by a
+        # nextafter scan: the rule holds at a and fails one ulp above it
+        a = 1.414213562373095e-10
+        assert math.sqrt(2 * a * a) / 2 == ZERO_INFO_NORM_TOL
+        trans = np.array([[0.9, 0.1], [0.1, 0.9]])
+        assert _context_record(trans.copy(), np.array([a, -a])).ratio is None
+        above = np.nextafter(a, math.inf)
+        ratio = _context_record(trans.copy(), np.array([above, -above])).ratio
+        assert ratio == pytest.approx(0.36, rel=1e-12)
+
+    def test_measures_read_the_record(self):
+        rng = np.random.default_rng(132)
+        for ctx in (random_context(3, rng), commuting_context(3, rng)):
+            record = ctx._record
+            assert context_incompatibility(ctx) == record.i_context >= 0.0
+            assert leakage_ratio(ctx) == record.ratio
+            report = incompatibility_report(ctx)
+            assert (report.i_context, report.ratio) == (record.i_context, record.ratio)
 
 
 class TestReport:
