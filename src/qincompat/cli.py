@@ -97,11 +97,10 @@ def load_context_document(path: str) -> Context:
     if not isinstance(dim, int) or dim < 2:
         raise DocumentError(f"dim must be an integer >= 2, got {dim!r}")
 
-    rho = _complex_matrix(doc["rho"], "rho")
-    x_cols = _complex_matrix(doc["x_basis"], "x_basis")
-    y_cols = _complex_matrix(doc["y_basis"], "y_basis")
-    if rho.shape != (dim, dim):
-        raise DocumentError(f"rho has shape {rho.shape}, expected ({dim}, {dim})")
+    matrices = {key: _complex_matrix(doc[key], key) for key in ("rho", "x_basis", "y_basis")}
+    for key, matrix in matrices.items():
+        if matrix.shape != (dim, dim):
+            raise DocumentError(f"{key} has shape {matrix.shape}, expected ({dim}, {dim})")
 
     def eigenvalues(key: str):
         if key not in doc:
@@ -111,9 +110,9 @@ def load_context_document(path: str) -> Context:
             raise DocumentError(f"{key} must list {dim} numbers")
         return vals
 
-    state = DensityMatrix(rho)
-    x_basis = ObservableBasis(x_cols, eigenvalues("x_eigenvalues"))
-    y_basis = ObservableBasis(y_cols, eigenvalues("y_eigenvalues"))
+    state = DensityMatrix(matrices["rho"])
+    x_basis = ObservableBasis(matrices["x_basis"], eigenvalues("x_eigenvalues"))
+    y_basis = ObservableBasis(matrices["y_basis"], eigenvalues("y_eigenvalues"))
     return Context(state, x_basis, y_basis)
 
 

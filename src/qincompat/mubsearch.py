@@ -10,19 +10,22 @@ quadratic in the residuals r = |W|^2 - 1/d, M cannot see a residual below
 (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
 Princeton 2008, Sec. 8.4) along W <- exp(iH) W, from seeded Haar-random starts.
 Damped by lambda ~ ||r||^2, it converges quadratically under a local error
-bound, with no isolated solution needed (Fan & Yuan, Computing 74, 23 (2005)).
+bound, with no isolated solution needed (Fan & Yuan, Computing 74, 23 (2005);
+Yamashita & Fukushima, Computing Suppl. 15, 239 (2001)). J has a kernel (the
+right-phase directions, which leave |W|^2 unchanged), so the shift added to
+J^T J is never below EPS ||J^T J||_1 of the matrix being solved: a floor with
+the matrix's own scale, not an absolute one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import ObservableBasis, _require_same_dim, random_observable_basis, transition_matrix
+from .core import EPS, ObservableBasis, _require_same_dim, random_observable_basis, transition_matrix
 
-# Levenberg-Marquardt damping floor
-DAMPING_FLOOR = 1e-12
 # a restart ends once every residual T - 1/d is at rounding level
 RESIDUAL_TOL = 1e-14
 # or once ||r||^2 has fallen by under 1 % over the last 10 trials
@@ -95,15 +98,20 @@ def mub_certificate(first: ObservableBasis, second: ObservableBasis, tol: float)
     return max_deviation <= tol, max_deviation
 
 
+@lru_cache(maxsize=16)
 def _directions(d: int) -> tuple[np.ndarray, ...]:
     """The search's off-diagonal Hermitian directions, two per pair a < b in
     ``np.triu_indices`` order, E_ab + E_ba then i(E_ab - E_ba): the rows a
-    and b of each pair, 2(e_a - e_b) per direction, and their Gram matrix."""
+    and b of each pair, 2(e_a - e_b) per direction, their Gram matrix, and
+    the identity of their count. Built once per d, as read-only arrays."""
     index = np.arange(d)
     rows_a, rows_b = np.nonzero(index[:, None] < index)
     eye = np.eye(d)
     incidence = np.repeat(2.0 * (eye[rows_a] - eye[rows_b]), 2, axis=0)
-    return rows_a, rows_b, incidence, incidence @ incidence.T
+    arrays = (rows_a, rows_b, incidence, incidence @ incidence.T, np.eye(len(incidence)))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def _normal_equations(overlaps: np.ndarray, residual: np.ndarray, directions: tuple):
@@ -113,7 +121,7 @@ def _normal_equations(overlaps: np.ndarray, residual: np.ndarray, directions: tu
     row b by +2 Im c, and i(E_ab - E_ba) by -2 Re c and +2 Re c. Each row of
     J^T is thus 2(e_b - e_a) (x) s, s = Im c or Re c, and J is never formed.
     """
-    rows_a, rows_b, incidence, incidence_gram = directions
+    rows_a, rows_b, incidence, incidence_gram, _ = directions
     c = overlaps[rows_a].conj() * overlaps[rows_b]
     slopes = np.concatenate((c.imag, c.real), axis=1).reshape(len(incidence), -1)
     return incidence_gram * (slopes @ slopes.T), ((incidence @ residual) * slopes).sum(1)
@@ -123,14 +131,16 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
     """Search for a basis unbiased to ``fixed``, maximizing the incompatibility.
 
     Each restart drives the residuals r = T - 1/d of T = |W|^2, W = F^H U and
-    F the fixed basis, to zero: it solves (J^T J + lambda I) x = -J^T r from
+    F the fixed basis, to zero: it solves (J^T J + mu I) x = -J^T r from
     ``_normal_equations`` and tries W <- exp(iH(x)) W, one eigh of H(x) and one
     iteration of the trajectory per trial. A trial is accepted iff ||r||^2
-    falls, and M is read off ||r||^2. lambda starts at ||r_0||^2 and becomes
-    min(lambda / 10, ||r||^2) on success, 10 lambda on failure, never below
-    1e-12. A restart ends at max |r| <= 1e-14, once ||r||^2 has fallen by
-    under 1 % over 10 trials, or at ``max_iters``; its last iterate is then
-    built as the ``ObservableBasis`` F W, which checks its Gram matrix.
+    falls, and M is read off ||r||^2. The shift is mu = max(lambda,
+    EPS ||J^T J||_1), with ||.||_1 the largest absolute column sum of the
+    J^T J being solved; lambda starts at ||r_0||^2 and becomes
+    min(lambda / 10, ||r||^2) on success, 10 lambda on failure. A restart
+    ends at max |r| <= 1e-14, once ||r||^2 has fallen by under 1 % over 10
+    trials, or at ``max_iters``; its last iterate is then built as the
+    ``ObservableBasis`` F W, which checks its Gram matrix.
     Restart k starts from U_k, the (k + 1)-th draw of
     ``random_observable_basis(d, rng)`` from ``default_rng(seed)``.
     The returned basis is the one of highest M, the earlier on ties; once its
@@ -141,9 +151,8 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
     d = config.dim
     rng = np.random.default_rng(config.seed)
     fixed_dagger = fixed.vectors.conj().T
-    identity = np.eye(d * (d - 1))
     directions = _directions(d)
-    rows_a, rows_b, _, _ = directions
+    rows_a, rows_b, _, _, identity = directions
     generator = np.zeros((d, d), dtype=complex)
 
     best_value, best_basis, best_deviation = -1.0, None, np.inf
@@ -159,7 +168,7 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
         cost = np.vdot(residual, residual)
         costs = [cost]
         trajectory.append((0, _score(cost, d)))
-        damping = max(cost, DAMPING_FLOOR)
+        damping = cost
         moved = True
 
         for iteration in range(1, config.max_iters + 1):
@@ -167,7 +176,8 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
                 if np.abs(residual).max() <= RESIDUAL_TOL:
                     break
                 gram, descent = _normal_equations(overlaps, residual, directions)
-            x = np.linalg.solve(gram + damping * identity, descent)
+                floor = EPS * np.abs(gram).sum(0).max()
+            x = np.linalg.solve(gram + max(damping, floor) * identity, descent)
             # H(x)[a, b] = x_2p + i x_2p+1, and eigh reads the upper triangle alone
             generator[rows_a, rows_b] = x.view(complex)
             lam, vecs = np.linalg.eigh(generator, UPLO="U")
@@ -177,7 +187,7 @@ def maximize_incompatibility(fixed: ObservableBasis, config: SearchConfig) -> Se
             moved = trial_cost < cost
             if moved:
                 overlaps, residual, cost = trial, trial_residual, trial_cost
-            damping = max(min(damping / 10.0, cost), DAMPING_FLOOR) if moved else 10.0 * damping
+            damping = min(damping / 10.0, cost) if moved else 10.0 * damping
             costs.append(cost)
             trajectory.append((iteration, _score(cost, d)))
             if iteration >= STALL_WINDOW and cost > STALL_RATIO * costs[-1 - STALL_WINDOW]:

@@ -29,6 +29,7 @@ import numpy as np
 
 from qincompat.bloch import BlochVector, geometric_maps
 from qincompat.core import (
+    EPS,
     Context,
     DensityMatrix,
     ObservableBasis,
@@ -47,7 +48,6 @@ from qincompat.measures import (
     _overlap_form,
 )
 from qincompat.mubsearch import (
-    DAMPING_FLOOR,
     RESIDUAL_TOL,
     STALL_RATIO,
     STALL_WINDOW,
@@ -356,7 +356,8 @@ def reference_search(fixed: ObservableBasis, config: SearchConfig) -> SearchResu
 
     Same restarts, acceptance test, damping schedule, stopping rules and skip
     rule as ``maximize_incompatibility``, but each step forms J from
-    ``residual_jacobian``, solves (J^T J + lambda I) x = -J^T r, and writes
+    ``residual_jacobian``, solves (J^T J + max(lambda, EPS ||J^T J||_1) I) x
+    = -J^T r with the 1-norm of its own dense J^T J, and writes
     both triangles of H(x) before its eigh; M is scored by the squared-overlap
     form of ``measurement_incompatibility``, not read off ||r||^2."""
     d = config.dim
@@ -376,13 +377,15 @@ def reference_search(fixed: ObservableBasis, config: SearchConfig) -> SearchResu
         costs = [residual @ residual]
         current = _overlap_form(np.abs(overlaps) ** 2)
         trajectory.append((0, current))
-        damping = max(costs[0], DAMPING_FLOOR)
+        damping = costs[0]
         for iteration in range(1, config.max_iters + 1):
             if np.abs(residual).max() <= RESIDUAL_TOL:
                 break
             jacobian = residual_jacobian(overlaps)
             gradient = jacobian.T @ residual
-            x = np.linalg.solve(jacobian.T @ jacobian + damping * np.eye(len(gradient)), -gradient)
+            gram = jacobian.T @ jacobian
+            shift = max(damping, EPS * np.linalg.norm(gram, 1))
+            x = np.linalg.solve(gram + shift * np.eye(len(gradient)), -gradient)
             generator = np.zeros((d, d), dtype=complex)
             for p, (a, b) in enumerate(pairs):
                 generator[a, b] = x[2 * p] + 1j * x[2 * p + 1]
@@ -393,7 +396,7 @@ def reference_search(fixed: ObservableBasis, config: SearchConfig) -> SearchResu
             if trial_residual @ trial_residual < costs[-1]:
                 overlaps, residual = trial, trial_residual
                 current = _overlap_form(np.abs(trial) ** 2)
-                damping = max(min(damping / 10.0, residual @ residual), DAMPING_FLOOR)
+                damping = min(damping / 10.0, residual @ residual)
             else:
                 damping *= 10.0
             costs.append(residual @ residual)

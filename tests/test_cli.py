@@ -182,6 +182,19 @@ class TestMeasureCommand:
         for name, subparser in subparsers.choices.items():
             assert isinstance(subparser.get_default("failure"), int), name
 
+    @pytest.mark.parametrize("key", ["rho", "x_basis", "y_basis"])
+    def test_matrix_shape_contradicting_dim_exit_code(self, tmp_path, key, capsys):
+        # a matrix of the wrong shape is a malformed document (exit 2), not a
+        # dimension mismatch between state and observables (exit 3)
+        matrices = {"rho": np.eye(2) / 2, "x_basis": np.eye(2), "y_basis": np.eye(2)[:, [1, 0]]}
+        matrices[key] = np.eye(3) / 3 if key == "rho" else np.eye(3)
+        doc = write_document(tmp_path / "shape.json", 2, *matrices.values())
+        for command in ("measure", "sweep", "protocol", "bloch"):
+            assert main([command, doc]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: {key} has shape (3, 3), expected (2, 2)\n"
+
     def test_missing_key_exit_code(self, tmp_path, capsys):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"version": "1", "dim": 2}))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qincompat.mubsearch as mubsearch
-from qincompat.core import ObservableBasis, random_observable_basis, transition_matrix
+from qincompat.core import EPS, ObservableBasis, random_observable_basis, transition_matrix
 from qincompat.measures import measurement_incompatibility
 from qincompat.mubsearch import (
     SearchConfig,
@@ -430,28 +430,31 @@ class TestLevenbergMarquardt:
     @pytest.mark.parametrize("d", [3, 4, 5, 8])
     def test_damping_follows_the_residual(self, d, monkeypatch):
         # lambda starts at ||r_0||^2 and stays at or below ||r||^2 after each
-        # accepted step; it is read back off the solved matrix J^T J + lambda I
-        # at its smallest diagonal entry, to the rounding of that entry
+        # accepted step, and the shift added to J^T J is max(lambda,
+        # EPS ||J^T J||_1); it is read back off the solved matrix at its
+        # smallest diagonal entry, to the rounding of that entry
         formed = mubsearch._normal_equations
         solve = np.linalg.solve
         draw = mubsearch.random_observable_basis
         starting = [True]
         # the normal equations formed last, until their first solve
         pending = []
-        # per such solve: lambda, ||r||^2, whether it is a restart's first, rounding
+        # per such solve: the shift, ||r||^2, the relative floor, whether it is
+        # a restart's first, rounding
         damped = []
 
         def recording(overlaps, residual, directions):
             gram, descent = formed(overlaps, residual, directions)
-            pending[:] = [(gram, np.vdot(residual, residual), starting[0])]
+            floor = EPS * np.linalg.norm(gram, 1)
+            pending[:] = [(gram, np.vdot(residual, residual), floor, starting[0])]
             starting[0] = False
             return gram, descent
 
         def recording_solve(a, b):
             if pending:
-                gram, cost, start = pending.pop()
+                gram, cost, floor, start = pending.pop()
                 i = np.argmin(np.diagonal(gram))
-                damped.append((a[i, i] - gram[i, i], cost, start, np.spacing(a[i, i])))
+                damped.append((a[i, i] - gram[i, i], cost, floor, start, np.spacing(a[i, i])))
             return solve(a, b)
 
         def recording_draw(dim, rng):
@@ -464,14 +467,14 @@ class TestLevenbergMarquardt:
         fixed = random_observable_basis(d, np.random.default_rng(390 + d))
         result = maximize_incompatibility(fixed, SearchConfig(dim=d, restarts=4, seed=2))
         assert result.certified_mub
-        assert sum(start for _, _, start, _ in damped) == result.restarts_used
+        assert sum(start for _, _, _, start, _ in damped) == result.restarts_used
         assert len(damped) > 2 * result.restarts_used
-        for damping, cost, start, rounding in damped:
-            assert damping >= mubsearch.DAMPING_FLOOR - rounding
+        for shift, cost, floor, start, rounding in damped:
+            assert shift >= floor - rounding
             if start:
-                assert abs(damping - cost) <= rounding
+                assert abs(shift - max(cost, floor)) <= rounding
             else:
-                assert damping <= max(cost, mubsearch.DAMPING_FLOOR) + rounding
+                assert shift <= max(cost, floor) + rounding
 
     def test_stalled_restarts_end_early(self):
         # against this fixed basis most restarts stall at max|r| ~ 1e-4, where
@@ -483,6 +486,27 @@ class TestLevenbergMarquardt:
         lengths = np.diff(starts + [len(result.trajectory)]) - 1
         assert len(lengths) == result.restarts_used
         assert max(lengths) <= 100
+
+    @pytest.mark.parametrize("d, most", [(7, 60), (8, 40)])
+    def test_rounding_level_tails_end_quickly(self, d, most):
+        # under an absolute damping floor of 1e-12, steps at ||r||^2 ~ 1e-24
+        # were damped away: d = 7 ran a restart to max_iters (301 entries)
+        # and d = 8 took 118; the relative floor takes 49 and 31
+        config = SearchConfig(dim=d, seed=1)
+        result = maximize_incompatibility(ObservableBasis.computational(d), config)
+        assert result.certified_mub
+        assert len(result.trajectory) <= most
+        starts = [i for i, (iteration, _) in enumerate(result.trajectory) if iteration == 0]
+        lengths = np.diff(starts + [len(result.trajectory)]) - 1
+        assert max(lengths) < config.max_iters
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_damped_matrix_stays_solvable(self, seed):
+        # J has a kernel; an absolute floor of 1e-16, or a relative one below
+        # EPS ||J^T J||_1, let np.linalg.solve raise on these searches
+        fixed = ObservableBasis.computational(3)
+        result = maximize_incompatibility(fixed, SearchConfig(dim=3, seed=seed))
+        assert result.certified_mub
 
     @pytest.mark.parametrize("d", range(2, 17))
     def test_certifies_at_the_default_tolerance(self, d):

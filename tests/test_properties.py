@@ -12,7 +12,7 @@ roundoff.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qincompat.bloch import (
@@ -254,6 +254,90 @@ def test_bloch_round_trip_and_frame_identity(ctx):
     )
     # x_j . y_k = (d T_jk - 1) / (d - 1)
     assert np.max(np.abs(xs @ ys.T - (d * trans - 1) / (d - 1))) <= slack
+
+
+RELABELINGS = ("global unitary", "vector phases", "first outcomes", "second outcomes", "conjugation")
+
+
+def relabel(ctx: Context, relabeling: str, rng: np.random.Generator) -> Context:
+    """The same context in other coordinates: every measure is a function of
+    p and T, which none of these changes."""
+    rho, first, second = ctx.state.entries, ctx.first.vectors, ctx.second.vectors
+    d = ctx.dim
+    if relabeling == "global unitary":
+        v = random_observable_basis(d, rng).vectors
+        rho, first, second = v @ rho @ v.conj().T, v @ first, v @ second
+    elif relabeling == "vector phases":
+        first = first * np.exp(2j * np.pi * rng.uniform(size=d))
+        second = second * np.exp(2j * np.pi * rng.uniform(size=d))
+    elif relabeling == "first outcomes":
+        first = first[:, rng.permutation(d)]
+    elif relabeling == "second outcomes":
+        second = second[:, rng.permutation(d)]
+    else:
+        rho, first, second = rho.conj(), first.conj(), second.conj()
+    return Context(DensityMatrix(rho), ObservableBasis(first), ObservableBasis(second))
+
+
+def entropy_slack(d: int, t: float) -> float:
+    # the record's information is sum_j p_j ln p_j + (1 + m) ln d - m with
+    # m = sum p - 1; entries off by t move -t ln t, the continuity bound of
+    # p ln p for t <= 1/2, plus t (ln d + 1) through m, per entry, and each
+    # route's d-term Csiszar sum rounds within (d + 4)(1 + ln d) u
+    return d * (t * (1.0 - math.log(t)) + t * math.log(d)) + 2 * (d + 4) * (1 + math.log(d)) * U
+
+
+def report_slack(d: int, spread: float) -> dict[str, float]:
+    """How far two routes to one report may differ when each route's Born
+    probabilities p and squared overlaps T are within delta of the exact ones.
+
+    delta = 24 d^2 u covers the global unitary, the loosest relabeling: V rho
+    V^H and V x are off by about 8 d^1.5 u in Frobenius norm, moving p by
+    16 d^1.5 u and T by as much, and each route's Born and overlap products
+    add 4 d u per entry. q = T^T p is then off by 3 delta, as T's columns sum
+    to 1. ``spread`` is ||alpha||^2 of alpha = d p - 1.
+    """
+    delta = 24 * d**2 * U
+    i_initial, i_final = entropy_slack(d, delta), entropy_slack(d, 3 * delta)
+    # sum |T^2 - T'^2| <= sum (2 T + delta) delta <= 4 d delta, and each route
+    # sums d^2 squares
+    m_measurement = (4 * d * delta + 2 * d**2 * U) / (d - 1)
+    # alpha, beta = T^T alpha in [-1, d - 1] are off by d delta and 3 d delta,
+    # so |alpha_j - beta_k| <= d and sum T = d bound the numerator's change;
+    # ||alpha||_1 <= 2 (d - 1) bounds the denominator's
+    numerator = d**4 * delta + 8 * d**3 * delta + 2 * d**4 * U
+    denominator = 5 * d**2 * delta + 2 * d * U * spread
+    ratio = (numerator + denominator) / max(spread - denominator, U)
+    return dict(
+        i_initial=i_initial,
+        i_final=i_final,
+        i_context=i_initial + i_final,
+        m_measurement=m_measurement,
+        ratio=ratio,
+    )
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(2, 8),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(CONTEXT_KINDS),
+    st.sampled_from(RELABELINGS),
+)
+def test_report_is_invariant_under_relabelings(d, seed, kind, relabeling):
+    rng = np.random.default_rng(seed)
+    ctx = kind(d, rng)
+    spread = float(ctx._record.rows[0] @ ctx._record.rows[0])
+    # ||p - 1/d|| is either rounding, for the zero-information kinds, or far
+    # above the 1e-10 rule, so no relabeling can flip ``ratio is None``
+    assume(math.sqrt(spread) / d < 1e-13 or math.sqrt(spread) / d > 1e-4)
+    report = incompatibility_report(ctx)
+    other = incompatibility_report(relabel(ctx, relabeling, rng))
+    assert other.classification is report.classification
+    assert (other.ratio is None) == (report.ratio is None)
+    for field, slack in report_slack(d, spread).items():
+        if getattr(report, field) is not None:
+            assert abs(getattr(other, field) - getattr(report, field)) <= slack, field
 
 
 @st.composite
