@@ -5,8 +5,8 @@ eigenbases (columns are eigenvectors); complex numbers are encoded as
 two-element [re, im] arrays. All entropic output is in nats unless --bits
 is passed, which divides by ln 2 at the presentation layer only.
 
-Exit codes: 0 success, 2 parse error (unreadable document, a non-number
-where a number belongs, or a non-integer $QINCOMPAT_SEED), 3 invariant
+Exit codes: 0 success, 2 parse error (unreadable document, an array that
+is not JSON numbers of its shape, or a non-integer $QINCOMPAT_SEED), 3 invariant
 violation (non-finite numbers included) from every subcommand, 4 malformed
 sweep grid (unless 0 < lo <= hi <= 1 and its point count n lies in
 1..``MAX_GRID_POINTS`` = 100 000), 5 any other numerical error (a failed
@@ -56,27 +56,19 @@ class _GridError(ValueError):
     """The --eps-grid spec is malformed or out of range."""
 
 
-def _numbers(raw, name: str) -> np.ndarray:
-    """The float array of nested JSON arrays whose leaves are all numbers.
-
-    A string, boolean or null leaf, or ragged nesting (which leaves a list
-    as a leaf), raises DocumentError; a float conversion alone would accept
-    strings and booleans.
+def _field(doc: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The float array under ``key``: nested JSON arrays of exactly ``shape``
+    whose leaves are all numbers. A missing key, another shape, ragged
+    nesting, or a string, boolean or null leaf raises DocumentError, one
+    message for all; a float conversion alone would accept strings and booleans.
     """
     try:
-        arr = np.array(raw, dtype=object)
-        if set(map(type, arr.flat)) <= {int, float}:
+        arr = np.array(doc[key], dtype=object)
+        if arr.shape == shape and set(map(type, arr.flat)) <= {int, float}:
             return arr.astype(float)
-    except (ValueError, OverflowError):
+    except (KeyError, ValueError, OverflowError):
         pass
-    raise DocumentError(f"{name}: entries must be JSON numbers in arrays of equal length")
-
-
-def _complex_matrix(raw, name: str) -> np.ndarray:
-    arr = _numbers(raw, name)
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise DocumentError(f"{name}: expected a square matrix of [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    raise DocumentError(f"{key} must be JSON numbers in nested arrays of shape {shape}")
 
 
 def load_context_document(path: str) -> Context:
@@ -84,36 +76,30 @@ def load_context_document(path: str) -> Context:
     with open(path, encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # ValueError: malformed JSON, bytes that are not UTF-8, or an integer
+        # beyond Python's digit limit; RecursionError: nesting too deep to parse
+        except (ValueError, RecursionError) as exc:
             raise DocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
     if str(doc.get("version")) != DOCUMENT_VERSION:
         raise DocumentError(f"unsupported document version {doc.get('version')!r}")
-    for key in ("dim", "rho", "x_basis", "y_basis"):
-        if key not in doc:
-            raise DocumentError(f"missing required key {key!r}")
-    dim = doc["dim"]
+    dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 2:
         raise DocumentError(f"dim must be an integer >= 2, got {dim!r}")
-
-    matrices = {key: _complex_matrix(doc[key], key) for key in ("rho", "x_basis", "y_basis")}
-    for key, matrix in matrices.items():
-        if matrix.shape != (dim, dim):
-            raise DocumentError(f"{key} has shape {matrix.shape}, expected ({dim}, {dim})")
-
-    def eigenvalues(key: str):
-        if key not in doc:
-            return None
-        vals = _numbers(doc[key], key)
-        if vals.shape != (dim,):
-            raise DocumentError(f"{key} must list {dim} numbers")
-        return vals
-
-    state = DensityMatrix(matrices["rho"])
-    x_basis = ObservableBasis(matrices["x_basis"], eigenvalues("x_eigenvalues"))
-    y_basis = ObservableBasis(matrices["y_basis"], eigenvalues("y_eigenvalues"))
-    return Context(state, x_basis, y_basis)
+    # the [re, im] pairs read as complex with no arithmetic, so an infinite
+    # part cannot raise an invalid-value warning before the finiteness checks
+    rho, x_cols, y_cols = (
+        _field(doc, key, (dim, dim, 2)).view(complex)[..., 0]
+        for key in ("rho", "x_basis", "y_basis")
+    )
+    x_vals, y_vals = (
+        _field(doc, key, (dim,)) if key in doc else None
+        for key in ("x_eigenvalues", "y_eigenvalues")
+    )
+    return Context(
+        DensityMatrix(rho), ObservableBasis(x_cols, x_vals), ObservableBasis(y_cols, y_vals)
+    )
 
 
 # adding 0.0 turns a rounded -0.0 into 0.0, so no printed zero carries a sign

@@ -24,6 +24,9 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_CLIP = 1e-10
 GRAM_TOL = 1e-10
+# above the rounding left in the bases built here (Haar draws at d = 16 reach
+# 2.4e-15, the MUB search's final iterates 1.4e-14), below TRACE_TOL = 1e-12
+_GRAM_ROUNDING = 1e-13
 EIGENVALUE_SPACING_TOL = 1e-9
 PROBABILITY_CLIP = 1e-12
 PROBABILITY_SUM_TOL = 1e-10
@@ -121,7 +124,11 @@ class ObservableBasis:
 
     ``vectors`` holds the eigenvectors as the columns of a d x d matrix,
     validated to be finite and unitary (Gram matrix within 1e-10 of the
-    identity). Eigenvalues must be finite and distinct.
+    identity). A Gram deviation above 1e-13, more than rounding leaves, is
+    removed: the nearest unitary X (X^dagger X)^(-1/2) is stored, so the
+    1e-12 trace and 1e-10 probability-sum checks downstream hold for every
+    accepted basis. Below it the vectors are kept as given.
+    Eigenvalues must be finite and distinct.
     Eigenvalues default to 1..d. They enter nothing but ``matrix()``: the
     incompatibility measures and the free-context classifier depend on the
     eigenprojectors only.
@@ -144,8 +151,13 @@ class ObservableBasis:
             raise InvariantViolationError("eigenvectors are not orthonormal")
         gram = cols.conj().T @ cols
         gram.flat[:: d + 1] -= 1.0
-        if np.abs(gram).max() > GRAM_TOL:
+        deviation = np.abs(gram).max()
+        if deviation > GRAM_TOL:
             raise InvariantViolationError("eigenvectors are not orthonormal")
+        if deviation > _GRAM_ROUNDING:
+            # (X^dagger X)^(-1/2) from the eigenpairs of X^dagger X - 1
+            shifts, vecs = np.linalg.eigh(gram)
+            cols = cols @ (vecs / np.sqrt(1.0 + shifts)) @ vecs.conj().T
         if self.eigenvalues is None:
             # the default 1..d is finite, of shape (d,) and spaced by 1
             vals = np.arange(1, d + 1, dtype=float)

@@ -26,3 +26,14 @@ class ChannelValidationError(ValueError):
 class CrossCheckError(ArithmeticError):
     """Two independent computations of the same quantity disagreed beyond
     their documented tolerance."""
+
+
+def _cross_check(name: str, residual: float, tolerance: float, *args) -> None:
+    """Raise CrossCheckError unless ``residual <= tolerance``, so a NaN residual
+    fails. The message, ``name.format(*args)`` with the residual and the
+    tolerance, is built on failure only: the sweep runs two checks per point."""
+    if not residual <= tolerance:
+        raise CrossCheckError(
+            f"{name.format(*args)}: residual {float(residual)!r} is not within"
+            f" tolerance {float(tolerance)!r}"
+        )

@@ -30,11 +30,7 @@ from .core import (
     _require_same_dim,
     transition_matrix,
 )
-from .errors import (
-    ChannelValidationError,
-    CrossCheckError,
-    ZeroInformationError,
-)
+from .errors import ChannelValidationError, ZeroInformationError, _cross_check
 
 COMMUTATION_TOL = 1e-10
 CHANNEL_STRUCTURE_TOL = 1e-10
@@ -256,10 +252,7 @@ def monotonicity_check(ctx: Context, kraus: list[np.ndarray]) -> tuple[float, fl
     before = context_incompatibility(ctx)
     mapped = DensityMatrix((transfer @ ctx.state.entries.ravel()).reshape(ctx.dim, ctx.dim))
     after = context_incompatibility(Context(mapped, ctx.first, ctx.second))
-    if after > before + MONOTONICITY_SLACK:
-        raise CrossCheckError(
-            f"free operation increased the resource: {before!r} -> {after!r}"
-        )
+    _cross_check("free operation monotonicity", after - before, MONOTONICITY_SLACK)
     return before, after
 
 

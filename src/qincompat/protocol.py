@@ -29,7 +29,7 @@ from .core import (
     dephase,
     von_neumann_entropy,
 )
-from .errors import CrossCheckError, ZeroInformationError
+from .errors import ZeroInformationError, _cross_check
 from .measures import leakage_ratio
 
 LEDGER_BALANCE_TOL = 1e-9
@@ -59,10 +59,8 @@ class LedgerEntry:
 
     def __post_init__(self) -> None:
         gap = (self.i_initial - self.i_final) - (self.delta_apparatus + self.mutual_info)
-        if abs(gap) > LEDGER_BALANCE_TOL:
-            raise CrossCheckError(f"information ledger does not balance: gap {gap:.3e}")
-        if self.mutual_info < MUTUAL_INFO_FLOOR:
-            raise CrossCheckError(f"negative mutual information {self.mutual_info:.3e}")
+        _cross_check("information ledger balance", abs(gap), LEDGER_BALANCE_TOL)
+        _cross_check("mutual information floor", -self.mutual_info, -MUTUAL_INFO_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -144,13 +142,8 @@ def noise_sweep(ctx: Context, epsilons: np.ndarray) -> list[NoiseSweepPoint]:
         ratio_eps = (i_initial_eps - i_final_eps) / i_initial_eps
         if eps <= SMALL_NOISE_EPS_LIMIT:
             slack = max(SMALL_NOISE_FLOOR, 2.0 / 3.0 * (d - 1) * eps)
-            if abs(ratio_eps - base_ratio) > slack:
-                raise CrossCheckError(
-                    f"entropic ratio {ratio_eps!r} drifted from the norm ratio "
-                    f"{base_ratio!r} beyond {slack} at eps={eps}"
-                )
-        if i_initial_eps > eps * record.i_initial + CONCAVITY_SLACK:
-            raise CrossCheckError(f"concavity bound violated at eps={eps}")
+            _cross_check("entropic ratio drifted at eps={}", abs(ratio_eps - base_ratio), slack, eps)
+        _cross_check("concavity at eps={}", i_initial_eps - eps * record.i_initial, CONCAVITY_SLACK, eps)
         points.append(NoiseSweepPoint(eps, i_initial_eps, i_final_eps, ratio_eps))
     return points
 
@@ -171,22 +164,13 @@ def small_eps_expansion(ctx: Context, epsilon: float) -> tuple[float, float, flo
     rows = ctx._record.rows
     scale = epsilon**2 / (2.0 * ctx.dim)
     i_initial_approx, i_final_approx = (scale * (rows * rows).sum(axis=1)).tolist()
-    i_context_approx = leakage_ratio(ctx) * i_initial_approx
+    approx = (i_initial_approx, i_final_approx, leakage_ratio(ctx) * i_initial_approx)
 
     exact = noise_sweep(ctx, np.array([epsilon]))[0]
-    budget = 10.0 * epsilon**3
-    checks = (
-        (i_initial_approx, exact.i_initial_eps),
-        (i_final_approx, exact.i_final_eps),
-        (i_context_approx, exact.i_initial_eps - exact.i_final_eps),
-    )
-    for approx, reference in checks:
-        if abs(approx - reference) > budget:
-            raise CrossCheckError(
-                f"quadratic approximation {approx!r} missed exact {reference!r} "
-                f"beyond the {budget} remainder budget"
-            )
-    return i_initial_approx, i_final_approx, i_context_approx
+    references = (exact.i_initial_eps, exact.i_final_eps, exact.i_initial_eps - exact.i_final_eps)
+    for name, value, reference in zip(("i_initial", "i_final", "i_context"), approx, references):
+        _cross_check("{} expansion at eps={}", abs(value - reference), 10.0 * epsilon**3, name, epsilon)
+    return approx
 
 
 def weak_measure(rho: DensityMatrix, basis: ObservableBasis, strength: float) -> DensityMatrix:

@@ -1,6 +1,8 @@
 """Command-line interface: documents, commands, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import warnings
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qincompat.cli import build_parser, main
 from qincompat.core import ObservableBasis
@@ -143,6 +147,17 @@ class TestMeasureCommand:
         assert out == ""
         assert err.startswith("error: invariant violation")
 
+    @pytest.mark.parametrize("command", ["measure", "sweep", "protocol", "bloch"])
+    def test_infinite_imaginary_part_is_an_invariant_violation(self, tmp_path, command, capsys):
+        # [0.0, Infinity] must reach the finiteness check with no invalid-value
+        # warning on the way, which the suite turns into an error
+        rho = np.array([[0.5, complex(0.0, math.inf)], [0.0, 0.5]])
+        doc = write_document(tmp_path / "inf.json", 2, rho, np.eye(2), np.eye(2))
+        assert main([command, doc]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: invariant violation: state matrix has non-finite entries\n"
+
     def test_nan_eigenvalue_is_an_invariant_violation(self, tmp_path, capsys):
         doc = write_document(
             tmp_path / "nan_eigs.json",
@@ -157,24 +172,36 @@ class TestMeasureCommand:
         assert out == ""
         assert err.startswith("error: invariant violation")
 
-    def test_invariant_violation_exits_three_from_every_document_command(self, tmp_path, capsys):
-        # the x basis passes the Gram check (deviation 9.8e-11), but the Born
-        # probabilities of the uniform superposition sum to 1 + 1.5e-9
+    @staticmethod
+    def _skewed_document(path, skew):
+        # the x basis I + skew (J - I), J all ones, has Gram deviation about 2 skew
         d = 16
-        x_cols = np.eye(d) + 4.9e-11 * (np.ones((d, d)) - np.eye(d))
+        x_cols = np.eye(d) + skew * (np.ones((d, d)) - np.eye(d))
         ket = np.ones(d) / math.sqrt(d)
-        doc = write_document(
-            tmp_path / "skewed.json",
-            d,
-            np.outer(ket, ket),
-            x_cols,
-            ObservableBasis.fourier(d).vectors,
+        return write_document(
+            path, d, np.outer(ket, ket), x_cols, ObservableBasis.fourier(d).vectors
         )
-        for command in ("measure", "sweep", "protocol"):
+
+    def test_invariant_violation_exits_three_from_every_document_command(self, tmp_path, capsys):
+        # Gram deviation 1.02e-10, just beyond the 1e-10 check
+        doc = self._skewed_document(tmp_path / "skewed.json", 5.1e-11)
+        for command in ("measure", "sweep", "protocol", "bloch"):
             assert main([command, doc]) == 3
             out, err = capsys.readouterr()
             assert out == ""
-            assert err.startswith("error: invariant violation: ") and err.count("\n") == 1
+            assert err == "error: invariant violation: eigenvectors are not orthonormal\n"
+
+    def test_basis_within_the_gram_check_serves_every_document_command(self, tmp_path, capsys):
+        # Gram deviation 9.8e-11: kept as given, the Born probabilities of the
+        # uniform superposition would sum to 1 + 1.5e-9 and exit 3; that state
+        # is unbiased to the x basis, so the sweep refuses it as zero-information
+        doc = self._skewed_document(tmp_path / "skewed.json", 4.9e-11)
+        for command, code in (("measure", 0), ("sweep", 5), ("protocol", 0), ("bloch", 0)):
+            assert main([command, doc]) == code
+            out, err = capsys.readouterr()
+            assert "NaN" not in out
+            assert err == ("" if code == 0 else "error: dephased state is maximally mixed;"
+                           " leakage ratio undefined\n")
 
     def test_every_subcommand_declares_its_failure_code(self):
         parser = build_parser()
@@ -193,7 +220,55 @@ class TestMeasureCommand:
             assert main([command, doc]) == 2
             out, err = capsys.readouterr()
             assert out == ""
-            assert err == f"error: {key} has shape (3, 3), expected (2, 2)\n"
+            assert err == f"error: {key} must be JSON numbers in nested arrays of shape (2, 2, 2)\n"
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda doc: [doc], "document root must be an object"),
+            (lambda doc: {**doc, "dim": True}, "dim must be an integer >= 2, got True"),
+            (lambda doc: {**doc, "dim": 2.0}, "dim must be an integer >= 2, got 2.0"),
+            (lambda doc: {**doc, "dim": 1}, "dim must be an integer >= 2, got 1"),
+            (lambda doc: {**doc, "dim": "2"}, "dim must be an integer >= 2, got '2'"),
+            (
+                lambda doc: {**doc, "x_eigenvalues": [1.0, 2.0, 3.0]},
+                "x_eigenvalues must be JSON numbers in nested arrays of shape (2,)",
+            ),
+            (
+                lambda doc: {**doc, "x_basis": [[z + [0.0] for z in row] for row in doc["x_basis"]]},
+                "x_basis must be JSON numbers in nested arrays of shape (2, 2, 2)",
+            ),
+            (
+                lambda doc: {key: value for key, value in doc.items() if key != "y_basis"},
+                "y_basis must be JSON numbers in nested arrays of shape (2, 2, 2)",
+            ),
+        ],
+        ids=["list-root", "dim-true", "dim-float", "dim-one", "dim-string", "eigenvalue-count",
+             "triples", "missing-basis"],
+    )
+    def test_malformed_document_exits_two_from_every_document_command(
+        self, mub_eigenstate_doc, change, message, capsys
+    ):
+        path = Path(mub_eigenstate_doc)
+        path.write_text(json.dumps(change(json.loads(path.read_text()))))
+        for command in ("measure", "sweep", "protocol", "bloch"):
+            assert main([command, str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000 + "]" * 100_000, '{"dim": ' + "9" * 5000 + "}"],
+        ids=["nesting-beyond-the-recursion-limit", "integer-beyond-the-digit-limit"],
+    )
+    def test_unparseable_json_exits_two(self, tmp_path, text, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert main(["measure", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
 
     def test_missing_key_exit_code(self, tmp_path, capsys):
         path = tmp_path / "partial.json"
@@ -589,3 +664,56 @@ class TestReadmeExample:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
+
+
+# one replacement per example: extreme finite magnitudes, infinity (what JSON
+# 1e400 parses to), an integer beyond any float, a boolean, a string, and
+# nestings one level too deep or too shallow
+FUZZ_VALUES = (
+    1e308, -1e308, 5e-324, math.inf, 10**400, 2**64, True, False, "1", [1.0, 0.0, 0.0], [[1.0]], []
+)
+FUZZ_FIELDS = ("dim", "rho", "x_basis", "y_basis", "x_eigenvalues", "y_eigenvalues")
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    field=st.sampled_from(FUZZ_FIELDS),
+    leaf=st.none() | st.integers(0, 7),
+    value=st.sampled_from(FUZZ_VALUES),
+    command=st.sampled_from(["measure", "sweep", "protocol", "bloch"]),
+)
+def test_mutated_document_fails_closed(fuzz_path, field, leaf, value, command):
+    """A valid document with one field, or one number in it, replaced exits
+    with a documented code, one error line and no traceback, never with NaN."""
+    doc = {
+        "version": "1",
+        "dim": 2,
+        "rho": encode_matrix([[0.8, 0.3], [0.3, 0.2]]),
+        "x_basis": encode_matrix(np.eye(2)),
+        "y_basis": encode_matrix(qubit_basis(1.0).vectors),
+        "x_eigenvalues": [1.0, 2.0],
+        "y_eigenvalues": [-1.0, 1.0],
+    }
+    if leaf is None or field == "dim":
+        doc[field] = value
+    elif field.endswith("eigenvalues"):
+        doc[field][leaf % 2] = value
+    else:
+        doc[field][leaf // 4][leaf // 2 % 2][leaf % 2] = value
+    fuzz_path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main([command, str(fuzz_path)])
+    assert code in (0, 2, 3, 5, 7)
+    assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -23,6 +23,8 @@ from qincompat.core import (
     von_neumann_entropy,
 )
 from qincompat.errors import DimensionMismatchError, InvariantViolationError
+from qincompat.measures import incompatibility_report
+from qincompat.protocol import mass_model_context_incompat, weak_measure
 
 from _oracles import direct_information, relative_entropy, sequential_dephase
 from _util import qubit_basis
@@ -183,6 +185,49 @@ class TestObservableBasis:
                 ObservableBasis.computational(d), ObservableBasis.fourier(d)
             )
             np.testing.assert_allclose(trans, np.full((d, d), 1.0 / d), atol=1e-12)
+
+    @pytest.mark.parametrize("eigenvalues", [None, [-2.5, 0.0, 1e-3, 7.0]])
+    def test_matrix_has_the_basis_as_eigenvectors(self, eigenvalues):
+        basis = random_observable_basis(4, np.random.default_rng(8), eigenvalues)
+        mat = basis.matrix()
+        np.testing.assert_allclose(mat, mat.conj().T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            mat @ basis.vectors, basis.vectors * basis.eigenvalues, rtol=0, atol=1e-12
+        )
+
+    def test_hadamard_typed_to_eleven_digits_serves_every_check(self):
+        # Gram deviation 1.9e-11 passes the 1e-10 check; kept as given, the
+        # dephased |0> would have trace 1 - 3.7e-11 and fail the 1e-12 check
+        h = 0.70710678118
+        basis = ObservableBasis([[h, h], [h, -h]])
+        gram = basis.vectors.conj().T @ basis.vectors
+        np.testing.assert_allclose(gram, np.eye(2), rtol=0, atol=4 * EPS)
+        state = DensityMatrix.pure([1, 0])
+        assert dephase(state, basis).entries.trace().real == pytest.approx(1.0, abs=1e-15)
+        assert weak_measure(state, basis, 0.5).dim == 2
+        ctx = Context(state, ObservableBasis.computational(2), basis)
+        assert mass_model_context_incompat(ctx, 1.0) >= 0.0
+
+    def test_skewed_d16_basis_serves_every_check(self):
+        # X = U (I + 0.95e-10 J)^(1/2), J all ones: Gram deviation 9.5e-11, and
+        # kept as given the top eigenvector of X X^dagger has Born sum 1 + 1.5e-9
+        d = 16
+        unitary = random_observable_basis(d, np.random.default_rng(0)).vectors
+        vals, vecs = np.linalg.eigh(np.eye(d) + 0.95e-10 * np.ones((d, d)))
+        skewed = unitary @ (vecs * np.sqrt(vals)) @ vecs.conj().T
+        basis = ObservableBasis(skewed)
+        state = DensityMatrix.pure(np.linalg.eigh(skewed @ skewed.conj().T)[1][:, -1])
+        assert outcome_probabilities(state, basis).sum() == pytest.approx(1.0, abs=1e-14)
+        incompatibility_report(Context(state, basis, ObservableBasis.fourier(d)))
+        # the stored basis is the polar factor of X, within rounding
+        np.testing.assert_allclose(basis.vectors, unitary, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("d", [2, 7, 16])
+    def test_rounding_level_bases_are_kept_as_given(self, d):
+        cols = random_observable_basis(d, np.random.default_rng(d)).vectors.copy()
+        np.testing.assert_array_equal(ObservableBasis(cols).vectors, cols)
+        fourier = ObservableBasis.fourier(d).vectors
+        np.testing.assert_array_equal(ObservableBasis(fourier.copy()).vectors, fourier)
 
 
 class TestContext:

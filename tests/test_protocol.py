@@ -1,5 +1,6 @@
 """Dilated interception ledger, noise sweeps, weak measurements."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from qincompat.measures import (
     leakage_ratio,
 )
 from qincompat.protocol import (
+    LedgerEntry,
     apply_noise,
     default_epsilon_grid,
     mass_model_context_incompat,
@@ -471,3 +473,62 @@ class TestDilationConsistency:
         assert other_sum == pytest.approx(
             ledger.delta_apparatus + ledger.mutual_info, abs=1e-9
         )
+
+
+class TestCrossChecks:
+    """Each cross-check refuses a residual beyond its tolerance, naming the
+    check, and a NaN residual as well; the closed forms are patched to fail."""
+
+    def test_ledger_balance(self):
+        LedgerEntry(1.0, 0.5, 0.0, 0.5 - 0.5e-9)
+        with pytest.raises(
+            CrossCheckError, match=r"^information ledger balance: residual .* tolerance 1e-09$"
+        ):
+            LedgerEntry(1.0, 0.5, 0.0, 0.5 - 2e-9)
+
+    def test_mutual_information_floor(self):
+        LedgerEntry(0.0, 0.0, 0.5e-10, -0.5e-10)
+        with pytest.raises(
+            CrossCheckError,
+            match=r"^mutual information floor: residual 2e-10 is not within tolerance 1e-10$",
+        ):
+            LedgerEntry(0.0, 0.0, 2e-10, -2e-10)
+
+    def test_concavity(self, monkeypatch):
+        ctx = mub_qubit_eigenstate()
+        monkeypatch.setattr(protocol, "_information", lambda rows: 2.0 * core._information(rows))
+        with pytest.raises(CrossCheckError, match=r"^concavity at eps=1\.0: "):
+            noise_sweep(ctx, [1.0])
+
+    # shifts of the exact i_initial and i_final, in units of the 10 eps^3 budget;
+    # (0.9, -0.9) keeps both within it and moves their difference by 1.8
+    @pytest.mark.parametrize(
+        "name, shifts", [("i_initial", (2.0, 0.0)), ("i_final", (0.0, 2.0)), ("i_context", (0.9, -0.9))]
+    )
+    def test_expansion_budget(self, name, shifts, monkeypatch):
+        ctx = random_context(3, np.random.default_rng(219))
+        eps = 0.01
+        exact = noise_sweep(ctx, [eps])[0]
+        moved = dataclasses.replace(
+            exact,
+            i_initial_eps=exact.i_initial_eps + shifts[0] * 10.0 * eps**3,
+            i_final_eps=exact.i_final_eps + shifts[1] * 10.0 * eps**3,
+        )
+        monkeypatch.setattr(protocol, "noise_sweep", lambda ctx, grid: [moved])
+        with pytest.raises(CrossCheckError, match=rf"^{name} expansion at eps=0\.01: "):
+            small_eps_expansion(ctx, eps)
+
+    def test_monotonicity_slack(self, monkeypatch):
+        ctx = random_context(3, np.random.default_rng(220))
+        values = iter([0.25, 0.25 + 2e-9])
+        monkeypatch.setattr(measures, "context_incompatibility", lambda ctx: next(values))
+        with pytest.raises(CrossCheckError, match=r"^free operation monotonicity: residual "):
+            measures.monotonicity_check(ctx, [np.eye(3, dtype=complex)])
+
+    def test_nan_residual_fails(self, monkeypatch):
+        # abs(nan) > tol is False, so a check written that way lets NaN through
+        with pytest.raises(CrossCheckError, match="^information ledger balance: residual nan "):
+            LedgerEntry(math.nan, 0.0, 0.0, 0.0)
+        monkeypatch.setattr(protocol, "leakage_ratio", lambda _: math.nan)
+        with pytest.raises(CrossCheckError, match="drifted.*residual nan"):
+            noise_sweep(random_context(3, np.random.default_rng(221)), [1e-3])
